@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
 
 import argparse
 import io
-import os
 import sys
 
 import numpy as np
@@ -421,8 +420,6 @@ def main(argv=None):
     setattr(args, "lambda", getattr(args, "lam", None))
     try:
         cfg = _merge_config(args)
-        if cfg["threads"]:
-            os.environ.setdefault("OMP_NUM_THREADS", str(cfg["threads"]))
         if getattr(args, "dump_config", False):
             sys.stdout.write(_dump_config(cfg))
             return EXIT_OK

@@ -14,11 +14,23 @@ which are evaluated through the argument-scaling identity
 
 so that J_nm = sigma^{-(nu+1)} sum_j C[n,j] C[m,j] h_j with
 h_j = Gamma(j+nu+1)/j! and C[n,j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n.
-Every term in the sum carries the same sign pattern, so there is no
-cancellation and the evaluation stays accurate for large n, m and large
-screening, where the textbook hypergeometric form loses all precision.
+For real sigma >= 1 every term is non-negative, so there is no cancellation
+and the evaluation stays accurate for large n, m and large screening, where
+the textbook hypergeometric form loses all precision.  For complex sigma the
+powers (sigma-1)^{n-j} rotate and the terms do cancel: for the cosine
+Yukawa at sigma = 1 + (delta + i delta)/lam, sum|terms| / |Re J| reaches
+7.7e24 at N=400, and the large-N elements lose accuracy there.
 The connection coefficients and the moment norms are built by exact ratio
-recurrences (no gamma-function round-off) in extended precision.
+recurrences (no gamma-function round-off) in extended precision: real
+longdouble when sigma is real, complex only when it is not.
+
+C is lower triangular, so the product (C*h) @ C.T is taken in column blocks
+over the nonzero prefix of C only (_lower_gram): the lower triangle is
+bit-identical to the full product at about a sixth of its multiply-adds.
+The exponential kernel weighs its moments with one more power of x; it is
+written J1 = sigma^{-(nu+2)} E P E^T, with P the same moment sum at nu+1 and
+E the bidiagonal map L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1}, so it also needs
+only one triangular product.
 """
 
 import math
@@ -106,6 +118,10 @@ class MorseParams:
 # ---------------------------------------------------------------------------
 # shared kernels
 
+# block width of _lower_gram: wide enough that the Python loop is cheap,
+# narrow enough that few zeros are multiplied inside the diagonal blocks
+_GRAM_BLOCK = 32
+
 
 def _connection_matrix(N, nu, sigma, dtype):
     """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n.
@@ -158,6 +174,25 @@ def _symmetrize(M):
     return np.tril(M) + np.tril(M, -1).T
 
 
+def _lower_gram(C, w):
+    """Lower block triangle of (C*w) @ C.T for a lower-triangular C.
+
+    Column block K of the result is (C*w)[k0:, :k1] @ C[k0:k1, :k1].T:
+    the columns j >= k1 it leaves out hold exact zeros of C, and the
+    unblocked extended-precision matmul sums over j in the same order, so
+    every entry on or below the diagonal is bit-identical to the full
+    product at about a sixth of its multiply-adds.  The diagonal blocks
+    also carry upper entries; the blocks above them are zero.
+    """
+    N = C.shape[0]
+    Cw = C * w
+    J = np.zeros((N, N), Cw.dtype)
+    for k0 in range(0, N, _GRAM_BLOCK):
+        k1 = min(k0 + _GRAM_BLOCK, N)
+        J[k0:, k0:k1] = Cw[k0:, :k1] @ C[k0:k1, :k1].T
+    return J
+
+
 # ---------------------------------------------------------------------------
 # Yukawa
 
@@ -170,21 +205,29 @@ def _check_sigma(sigma):
 
 
 def _yukawa_complex_matrix(p, basis):
+    """Symmetric complex matrix of -(A/r) e^{-mu r}.
+
+    At mu_im = 0 it is built in real extended precision; its imaginary
+    part is then exactly zero.
+    """
     N, nu = basis.size, basis.nu
     sigma = 1.0 + p.mu / basis.lam
     _check_sigma(sigma)
-    C = _connection_matrix(N, nu, sigma, np.clongdouble)
-    h = _moment_norms(N, nu)
-    J = (C * h) @ C.T * np.clongdouble(sigma) ** (-(nu + 1))
-    return (-p.strength * _norm_outer(basis) * J).astype(complex)
+    if p.mu_im == 0:
+        sigma, dtype = sigma.real, np.longdouble
+    else:
+        dtype = np.clongdouble
+    C = _connection_matrix(N, nu, sigma, dtype)
+    J = _lower_gram(C, _moment_norms(N, nu)) * dtype(sigma) ** (-(nu + 1))
+    return _symmetrize((-p.strength * _norm_outer(basis) * J).astype(complex))
 
 
 def yukawa_element(p, basis, n, m):
     """Complex element <phi_n| -(A/r) e^{-mu r} |phi_m>.
 
-    The positive-coefficient sum is uniformly stable in the screening,
-    including the degenerate limit mu -> 0 where it reduces continuously
-    to the Coulomb value -A lam delta_nm.
+    For real screening the sum has non-negative terms and is uniformly
+    stable, including the degenerate limit mu -> 0 where it reduces
+    continuously to the Coulomb value -A lam delta_nm.
     """
     if not (0 <= n < basis.size and 0 <= m < basis.size):
         raise ValueError("element indices must satisfy 0 <= n, m < basis.size")
@@ -202,9 +245,7 @@ def yukawa_element(p, basis, n, m):
 def yukawa_matrix(p, basis):
     """Real symmetric potential matrix for the chosen Yukawa variant."""
     Vc = _yukawa_complex_matrix(p, basis)
-    if p.variant == "sine":
-        return _symmetrize(Vc.imag)
-    return _symmetrize(Vc.real)
+    return (Vc.imag if p.variant == "sine" else Vc.real).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +265,19 @@ def exp_element(c, basis, n, m):
 def _exp_kernel(c, basis):
     """Extended-precision J1 integrals behind exp_matrix (no norm factors).
 
-    The extra power of x from the 2D volume element turns the moment sum
-    into (2j+nu+1) h_j on the diagonal minus (j+nu+1) h_j couplings of
-    adjacent connection columns (three-term recurrence of x L_j^nu).
+    The extra power of x from the 2D volume element is taken into the
+    weight: J1 = sigma^{-(nu+2)} E P E^T, where P is the moment sum at
+    nu+1 and E the bidiagonal map L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1},
+    applied as differences of adjacent rows, then of adjacent columns.
     """
     N, nu = basis.size, basis.nu
     sigma = 1.0 + c / basis.lam
-    C = _connection_matrix(N, nu, sigma, np.longdouble)
-    h = _moment_norms(N, nu)
-    j = np.arange(N)
-    M = (C * ((2 * j + nu + 1) * h)) @ C.T
-    X = (C[:, :-1] * ((j[:-1] + nu + 1) * h[:-1])) @ C[:, 1:].T
-    return (M - X - X.T) * np.longdouble(sigma) ** (-(nu + 2))
+    C = _connection_matrix(N, nu + 1, sigma, np.longdouble)
+    # symmetrize first: the differences read the upper triangle too
+    P = _symmetrize(_lower_gram(C, _moment_norms(N, nu + 1)))
+    P[1:] -= P[:-1]
+    P[:, 1:] -= P[:, :-1]
+    return P * np.longdouble(sigma) ** (-(nu + 2))
 
 
 def exp_matrix(c, basis):

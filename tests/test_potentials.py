@@ -8,6 +8,10 @@ from trilag.potentials import (
     KratzerParams,
     MorseParams,
     YukawaParams,
+    _connection_matrix,
+    _exp_kernel,
+    _lower_gram,
+    _moment_norms,
     _yukawa_complex_matrix,
     exp_element,
     exp_matrix,
@@ -49,6 +53,21 @@ class TestParamValidation:
             MorseParams(depth=-1.0, r_eq=0.0, width=1.0, beta=1.0)
         with pytest.raises(ValueError):
             MorseParams(depth=-1.0, r_eq=1.0, width=0.0, beta=1.0)
+
+
+class TestLowerGram:
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 101])
+    def test_lower_triangle_bit_identical(self, N, dtype):
+        rng = np.random.default_rng(N)
+        C = rng.standard_normal((N, N)).astype(dtype)
+        if dtype is np.clongdouble:
+            C += 1j * rng.standard_normal((N, N))
+        C = np.tril(C)
+        w = rng.uniform(0.5, 2.0, N).astype(np.longdouble)
+        J = _lower_gram(C, w)
+        assert J.dtype == dtype
+        assert np.array_equal(np.tril(J), np.tril((C * w) @ C.T))
 
 
 class TestYukawaElement:
@@ -102,6 +121,12 @@ class TestYukawaMatrix:
         Vco = yukawa_matrix(YukawaParams(strength=1.0, mu_re=0.7, mu_im=0.0, variant="cosine"), b)
         np.testing.assert_array_equal(Vcl, Vco)
 
+    def test_sine_vanishes_at_real_mu(self):
+        p = YukawaParams(strength=1.0, mu_re=0.7, mu_im=0.0, variant="sine")
+        V = yukawa_matrix(p, BasisSpec(lam=1.0, ell=1, size=40))
+        assert V.shape == (40, 40)
+        assert not V.any()
+
     def test_symmetry(self):
         p = YukawaParams(strength=1.0, mu_re=2.0, mu_im=2.0, variant="sine")
         V = yukawa_matrix(p, BasisSpec(lam=1.0, ell=0, size=40))
@@ -140,6 +165,33 @@ class TestExpElement:
             assert exp_element(0.8, b, n, m) == pytest.approx(M[n, m], rel=1e-13)
 
 
+def _exp_kernel_reference(c, basis):
+    """Exponential kernel from the three-term recurrence of x L_j^nu:
+    (2j+nu+1) h_j on the diagonal minus (j+nu+1) h_j couplings of
+    adjacent connection columns, as two dense products."""
+    N, nu = basis.size, basis.nu
+    sigma = 1.0 + c / basis.lam
+    C = _connection_matrix(N, nu, sigma, np.longdouble)
+    h = _moment_norms(N, nu)
+    j = np.arange(N)
+    M = (C * ((2 * j + nu + 1) * h)) @ C.T
+    X = (C[:, :-1] * ((j[:-1] + nu + 1) * h[:-1])) @ C[:, 1:].T
+    return (M - X - X.T) * np.longdouble(sigma) ** (-(nu + 2))
+
+
+class TestExpKernel:
+    @pytest.mark.parametrize("c", [0.3, 1.5, 4.0])
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_matches_recurrence_form(self, ell, c):
+        # |dJ_nm| relative to sqrt(J_nn J_mm): J is a Gram matrix, so this
+        # bounds every element by the scale of its row and column
+        b = BasisSpec(lam=1.0, ell=ell, size=150)
+        ref = _exp_kernel_reference(c, b)
+        got = _exp_kernel(c, b)
+        d = np.sqrt(np.diag(ref))
+        assert float(np.max(np.abs(np.tril(got - ref)) / np.outer(d, d))) <= 1e-13
+
+
 class TestMorse:
     def test_beta_zero_single_well(self):
         p = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.0)
@@ -156,6 +208,11 @@ class TestMorse:
         p = MorseParams(depth=depth, r_eq=r0, width=width, beta=beta)
         b = BasisSpec(lam=6.0, ell=ell, size=30)
         assert oracle_deviation(morse_matrix(p, b), p, b) < 1e-11
+
+    def test_oracle_agreement_full_block(self):
+        p = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8)
+        b = BasisSpec(lam=6.0, ell=1, size=200)
+        assert oracle_deviation(morse_matrix(p, b), p, b, order=450) < 1e-11
 
 
 class TestKratzer:
