@@ -6,6 +6,8 @@ centrifugal) Hamiltonian H0 and the overlap S are both exactly tridiagonal;
 the basis is not orthogonal, so spectra come from the pencil H f = E S f.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,17 +19,20 @@ __all__ = ["BasisSpec", "overlap_matrix", "h0_matrix"]
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis scale lam > 0, angular momentum ell (any sign), size N >= 1."""
+    """Finite basis scale lam > 0, integer angular momentum ell (any sign),
+    integer size N >= 1."""
 
     lam: float
     ell: int
     size: int
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("basis scale lam must be > 0, got %r" % (self.lam,))
-        if self.size < 1:
-            raise ValueError("basis size must be >= 1, got %r" % (self.size,))
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("basis scale lam must be finite and > 0, got %r" % (self.lam,))
+        if not isinstance(self.ell, numbers.Integral):
+            raise ValueError("angular momentum ell must be an integer, got %r" % (self.ell,))
+        if not isinstance(self.size, numbers.Integral) or self.size < 1:
+            raise ValueError("basis size must be an integer >= 1, got %r" % (self.size,))
 
     @property
     def nu(self):

@@ -391,7 +391,6 @@ def build_parser():
         p.add_argument("--k", type=int, help="number of levels")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["csv"])
-        p.add_argument("--threads", type=int)
         p.add_argument("--tol-plateau", type=float, dest="tol_plateau")
         p.add_argument("--tol-conv", type=float, dest="tol_conv")
         p.add_argument("--config", help="key=value config file; flags override")
@@ -403,6 +402,8 @@ def build_parser():
     add_common(p_scan)
     p_scan.add_argument("--lambda-grid", dest="lambda_grid",
                         help="lo:hi:step or comma-separated lam values")
+    p_scan.add_argument("--threads", type=int,
+                        help="worker threads over the lam grid (results unchanged)")
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("id", type=int, choices=[1, 2, 3])
     add_common(p_table)

@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 
+def _require_finite(params, *names):
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class YukawaParams:
     """Screened Coulomb -(strength/r) e^{-mu r} with mu = mu_re + i mu_im.
@@ -71,6 +78,7 @@ class YukawaParams:
     variant: str = "classical"
 
     def __post_init__(self):
+        _require_finite(self, "strength", "mu_re", "mu_im")
         if self.strength <= 0:
             raise ValueError("Yukawa strength must be > 0")
         if self.mu_re < 0 or self.mu_im < 0:
@@ -93,6 +101,7 @@ class KratzerParams:
     inverse_square: float
 
     def __post_init__(self):
+        _require_finite(self, "coulomb", "inverse_square")
         if self.inverse_square <= 0:
             raise ValueError("inverse_square must be > 0")
 
@@ -107,6 +116,7 @@ class MorseParams:
     beta: float
 
     def __post_init__(self):
+        _require_finite(self, "depth", "r_eq", "width", "beta")
         if self.r_eq <= 0:
             raise ValueError("r_eq must be > 0")
         if self.width <= 0:
@@ -161,11 +171,15 @@ def _moment_norms(N, nu, dtype=np.longdouble):
     return np.cumprod(np.r_[np.ones(1, dtype) * math.gamma(nu + 1), ratios])
 
 
+def _log_norms(N, nu):
+    """log(a_n / sqrt(lam)) = (log n! - log Gamma(n+nu+1)) / 2."""
+    n = np.arange(N)
+    return 0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0))
+
+
 def _norm_outer(basis):
     """Matrix of products a_n a_m, evaluated in log space."""
-    N, nu = basis.size, basis.nu
-    n = np.arange(N)
-    loga = 0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0))
+    loga = _log_norms(basis.size, basis.nu)
     return basis.lam * np.exp(loga[:, None] + loga[None, :])
 
 
@@ -322,10 +336,12 @@ def kratzer_matrix(p, basis):
             "Kratzer elements require |ell| >= 1: the 1/r^2 integral diverges at nu = 0"
         )
     N = basis.size
-    n = np.arange(N)
-    mn = np.minimum.outer(n, n)
-    lgm = gammaln(mn + nu + 1.0) - gammaln(mn + 1.0)
-    V2 = (basis.lam * p.inverse_square / 2.0) * _norm_outer(basis) * np.exp(lgm) / nu
+    loga = _log_norms(N, nu)
+    # a_m^2 = lam m!/Gamma(m+nu+1), so for m <= n the element is
+    # (lam^2 B / 2 nu) a_n/a_m: one exp per lower-triangle entry
+    V2 = np.exp(loga[:, None] - loga[None, :], out=np.zeros((N, N)),
+                where=np.tri(N, dtype=bool))
+    V2 *= basis.lam ** 2 * p.inverse_square / (2.0 * nu)
     return _symmetrize(V2) - p.coulomb * basis.lam * np.eye(N)
 
 

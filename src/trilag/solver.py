@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .basis import BasisSpec, h0_matrix, overlap_matrix
-from .eigen import Pencil, cholesky, solve_pencil
+from .eigen import Pencil, solve_pencil
 from .potentials import (
     KratzerParams,
     MorseParams,
@@ -71,6 +71,17 @@ class SpectrumResult:
     unresolved: tuple # indices within ZERO_BAND of zero
 
 
+def _tail_fractions(F, nu):
+    """Share of each column's norm in the last GUARD_TAIL coefficients of
+    Y = L^T F, where S = L L^T is the overlap."""
+    # the overlap's Cholesky factor is bidiagonal in closed form:
+    # L[m, m] = sqrt(m+nu+1), L[m+1, m] = -sqrt(m+1)
+    m = np.arange(F.shape[0])[:, None]
+    Y = np.sqrt(m + nu + 1.0) * F
+    Y[:-1] -= np.sqrt(m[1:]) * F[1:]
+    return np.sum(Y[-GUARD_TAIL:] ** 2, axis=0) / np.sum(Y ** 2, axis=0)
+
+
 def bound_states(potential, basis):
     """Assemble H = H0 + V and solve; negative eigenvalues are bound states.
 
@@ -85,9 +96,7 @@ def bound_states(potential, basis):
     unresolved = tuple(i for i, e in enumerate(w) if abs(e) <= ZERO_BAND)
     suspect = []
     if bound_idx and basis.size > GUARD_TAIL:
-        L = cholesky(S)
-        Y = L.T @ F[:, bound_idx]
-        tail = np.sum(Y[-GUARD_TAIL:, :] ** 2, axis=0) / np.sum(Y ** 2, axis=0)
+        tail = _tail_fractions(F[:, bound_idx], basis.nu)
         suspect = [bound_idx[j] for j in range(len(bound_idx)) if tail[j] > GUARD_FRACTION]
     return SpectrumResult(
         energies=w,

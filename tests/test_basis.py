@@ -25,6 +25,22 @@ class TestBasisSpec:
         with pytest.raises(ValueError):
             BasisSpec(lam=1.0, ell=0, size=0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            BasisSpec(lam=lam, ell=0, size=5)
+
+    def test_ell_must_be_integer(self):
+        with pytest.raises(ValueError, match="ell"):
+            BasisSpec(lam=1.0, ell=0.5, size=5)
+        assert BasisSpec(lam=1.0, ell=np.int64(2), size=5).nu == 4.0
+
+    def test_size_must_be_integer(self):
+        with pytest.raises(ValueError, match="size"):
+            BasisSpec(lam=1.0, ell=0, size=2.5)
+        assert BasisSpec(lam=1.0, ell=0, size=np.int64(5)).size == 5
+        assert BasisSpec(lam=np.float64(1.0), ell=-1, size=5).nu == 2.0
+
 
 class TestOverlap:
     def test_small_cases(self):

@@ -42,6 +42,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--delta", "0.5")
         assert code == EXIT_CONFIG
 
+    def test_threads_is_a_usage_error(self, capsys):
+        # only scan runs in parallel; solve has no --threads option
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--potential", "yukawa-cos", "--delta", "0.5",
+                  "--threads", "2"])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_non_finite_lambda_is_config_error(self, capsys):
+        code, _, err = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
+                           "--lambda", "nan")
+        assert code == EXIT_CONFIG
+        assert "lam" in err
+
     def test_deterministic_output(self, capsys):
         argv = ("solve", "--potential", "yukawa-cos", "--delta", "1", "--N", "60",
                 "--lambda", "2")
@@ -65,6 +79,19 @@ class TestScan:
                            "--lambda-grid", "1:5:0.5", "--k", "1")
         assert code == EXIT_OK
         assert "# plateau: [1, 5]" in out
+
+    def test_threads_do_not_change_output(self, capsys):
+        argv = ("scan", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "60",
+                "--lambda-grid", "1:3:0.5", "--k", "2")
+        code1, out1, _ = run(capsys, *argv, "--threads", "1")
+        code2, out2, _ = run(capsys, *argv, "--threads", "2")
+        assert code1 == code2 == EXIT_OK
+        # the parameter echo names the thread count; everything after it
+        # is byte-identical
+        echo1, body1 = out1.split("\n", 1)
+        echo2, body2 = out2.split("\n", 1)
+        assert echo1.replace("threads=1", "threads=2") == echo2
+        assert body1 == body2
 
     def test_small_grid_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--potential", "yukawa-cos", "--delta", "0.5",

@@ -3,9 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
-from trilag.eigen import NotPositiveDefiniteError, Pencil, cholesky, solve_pencil
+from trilag.eigen import (
+    NotPositiveDefiniteError,
+    Pencil,
+    _band_cholesky,
+    cholesky,
+    solve_pencil,
+)
 
 
 class TestCholesky:
@@ -26,6 +33,33 @@ class TestCholesky:
         L = cholesky(S)
         np.testing.assert_allclose(L @ L.T, S, rtol=0, atol=1e-12)
         assert np.all(np.diag(L) > 0)
+
+
+class TestBandCholesky:
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_overlap_factor_closed_form(self, ell):
+        # S is tridiagonal, so its factor is bidiagonal:
+        # L[n, n] = sqrt(n+nu+1), L[n, n-1] = -sqrt(n).  The pivots carry
+        # the rounding of the stored S entries forward; the worst relative
+        # deviation at N = 300 is 1.5e-15 (nu = 0), 6e-16 at nu = 10.
+        b = BasisSpec(1.0, ell, 300)
+        c = _band_cholesky(overlap_matrix(b))
+        assert c.shape == (2, 300)
+        n = np.arange(300)
+        np.testing.assert_allclose(c[0], np.sqrt(n + b.nu + 1.0), rtol=3e-15, atol=0)
+        np.testing.assert_allclose(c[1, :-1], -np.sqrt(n[1:]), rtol=3e-15, atol=0)
+
+    def test_bandwidth_follows_farthest_subdiagonal(self):
+        rng = np.random.default_rng(7)
+        N = 30
+        M = rng.standard_normal((N, N))
+        s = M @ M.T + N * np.eye(N)
+        s[np.abs(np.subtract.outer(np.arange(N), np.arange(N))) > 2] = 0.0
+        c = _band_cholesky(s)
+        assert c.shape == (3, N)
+        L = cholesky(s)
+        for k in range(3):
+            np.testing.assert_allclose(c[k, :N - k], np.diagonal(L, -k), rtol=1e-13)
 
 
 class TestSolvePencil:
@@ -64,6 +98,18 @@ class TestSolvePencil:
         for i in [0, 40, 99]:
             res = np.linalg.norm(H @ F[:, i] - w[i] * (S @ F[:, i]))
             assert res <= 1e-10 * scale
+
+    def test_dense_overlap_matches_scipy(self):
+        # a dense s is the kd = N-1 case of the band factor
+        rng = np.random.default_rng(11)
+        N = 50
+        M = rng.standard_normal((N, N))
+        s = M @ M.T + N * np.eye(N)
+        G = rng.standard_normal((N, N))
+        h = G + G.T
+        w, F = solve_pencil(Pencil(h, s), eigvecs=True)
+        np.testing.assert_allclose(w, sla.eigh(h, s, eigvals_only=True), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(F.T @ s @ F, np.eye(N), rtol=0, atol=1e-12)
 
     def test_condition_warning(self):
         bad = np.diag([1.0, 1e14])

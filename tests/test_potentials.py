@@ -55,6 +55,28 @@ class TestParamValidation:
             MorseParams(depth=-1.0, r_eq=1.0, width=0.0, beta=1.0)
 
 
+    @pytest.mark.parametrize("field", ["strength", "mu_re", "mu_im"])
+    def test_yukawa_non_finite(self, field):
+        kwargs = dict(strength=1.0, mu_re=0.5, mu_im=0.5, variant="cosine")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                YukawaParams(**dict(kwargs, **{field: bad}))
+
+    @pytest.mark.parametrize("field", ["coulomb", "inverse_square"])
+    def test_kratzer_non_finite(self, field):
+        kwargs = dict(coulomb=1.0, inverse_square=5.0)
+        for bad in (float("nan"), -float("inf")):
+            with pytest.raises(ValueError, match=field):
+                KratzerParams(**dict(kwargs, **{field: bad}))
+
+    @pytest.mark.parametrize("field", ["depth", "r_eq", "width", "beta"])
+    def test_morse_non_finite(self, field):
+        kwargs = dict(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                MorseParams(**dict(kwargs, **{field: bad}))
+
+
 class TestLowerGram:
     @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
     @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 101])
@@ -235,6 +257,23 @@ class TestKratzer:
     def test_symmetry(self):
         V = kratzer_matrix(KratzerParams(1.0, 50.0), BasisSpec(0.6, 1, 40))
         np.testing.assert_array_equal(V, V.T)
+
+    @pytest.mark.parametrize("ell,lam", [(1, 0.6), (2, 0.3), (5, 1.8)])
+    def test_matches_gamma_formula(self, ell, lam):
+        # the norm-ratio assembly against the closed form as written,
+        # (lam B / 2 nu) a_n a_m Gamma(min+nu+1) / min!, in log-gamma space
+        from scipy.special import gammaln
+
+        p = KratzerParams(coulomb=1.0, inverse_square=5.0)
+        b = BasisSpec(lam=lam, ell=ell, size=400)
+        n = np.arange(400)
+        loga = 0.5 * (gammaln(n + 1.0) - gammaln(n + b.nu + 1.0))
+        mn = np.minimum.outer(n, n)
+        lgm = gammaln(mn + b.nu + 1.0) - gammaln(mn + 1.0)
+        norm_outer = lam * np.exp(loga[:, None] + loga[None, :])
+        V2 = (lam * p.inverse_square / 2.0) * norm_outer * np.exp(lgm) / b.nu
+        want = V2 - p.coulomb * lam * np.eye(400)
+        np.testing.assert_allclose(kratzer_matrix(p, b), want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("B,ell,lam", [
         (50.0, 1, 0.6), (1.0, 2, 1.8), (5.0, 5, 0.4), (0.1, 1, 3.0),

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from trilag.basis import BasisSpec
+from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
+from trilag.eigen import Pencil, cholesky, solve_pencil
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
 from trilag.solver import (
+    GUARD_FRACTION,
+    GUARD_TAIL,
+    ZERO_BAND,
+    _tail_fractions,
     bound_states,
     converge_in_n,
     critical_screening,
@@ -42,6 +47,41 @@ class TestBoundStates:
     def test_unknown_potential_rejected(self):
         with pytest.raises(TypeError):
             potential_matrix(object(), BasisSpec(1.0, 0, 10))
+
+
+KRATZER_B1 = KratzerParams(coulomb=1.0, inverse_square=1.0)
+MORSE_WELL = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8)
+
+
+class TestTruncationGuard:
+    # small bases at badly chosen lam, where some bound levels are
+    # truncation artifacts
+    CASES = [
+        (KRATZER_B1, BasisSpec(0.05, 1, 20), (0,) + tuple(range(13, 20))),
+        (KRATZER_B1, BasisSpec(0.05, 1, 40), tuple(range(33, 39))),
+        (cos_yukawa(0.1), BasisSpec(0.05, 0, 20), (0,)),
+        (MORSE_WELL, BasisSpec(0.2, 1, 20), (0,)),
+        (MORSE_WELL, BasisSpec(0.05, 1, 100), (1,)),
+    ]
+
+    @pytest.mark.parametrize("potential,basis,suspect", CASES)
+    def test_pinned_suspects(self, potential, basis, suspect):
+        r = bound_states(potential, basis)
+        assert r.suspect == suspect
+        assert r.unresolved == ()
+
+    @pytest.mark.parametrize("potential,basis,suspect", CASES)
+    def test_tails_match_dense_factor(self, potential, basis, suspect):
+        # the closed-form bidiagonal L^T F against a dense Cholesky of S
+        S = overlap_matrix(basis)
+        H = h0_matrix(basis) + potential_matrix(potential, basis)
+        w, F = solve_pencil(Pencil(H, S), eigvecs=True)
+        bound = np.flatnonzero(w < -ZERO_BAND)
+        Y = cholesky(S).T @ F[:, bound]
+        dense = np.sum(Y[-GUARD_TAIL:] ** 2, axis=0) / np.sum(Y ** 2, axis=0)
+        np.testing.assert_allclose(_tail_fractions(F[:, bound], basis.nu), dense,
+                                   rtol=0, atol=1e-12)
+        assert tuple(bound[dense > GUARD_FRACTION]) == suspect
 
 
 class TestKratzerExact:
