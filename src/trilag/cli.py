@@ -32,64 +32,19 @@ EXIT_VALIDATION = 4
 
 POTENTIAL_NAMES = ("yukawa", "yukawa-cos", "yukawa-sin", "kratzer", "morse")
 
-# every long option that may also appear in a config file, with its
-# parsing type; booleans and subcommand ids stay on the command line
-CONFIG_KEYS = {
-    "potential": str,
-    "A": float,
-    "delta": float,
-    "mu-re": float,
-    "mu-im": float,
-    "B": float,
-    "V0": float,
-    "r0": float,
-    "width": float,
-    "beta": float,
-    "ell": int,
-    "N": int,
-    "lambda": float,
-    "lambda-grid": str,
-    "k": int,
-    "out": str,
-    "format": str,
-    "threads": int,
-    "tol-plateau": float,
-    "tol-conv": float,
-    "order": int,
-    "limit": int,
-}
-
-DEFAULTS = {
-    "potential": None,
-    "A": 1.0,
-    "delta": None,
-    "mu-re": None,
-    "mu-im": None,
-    "B": None,
-    "V0": None,
-    "r0": None,
-    "width": None,
-    "beta": 1.0,
-    "ell": 0,
-    "N": 100,
-    "lambda": 1.0,
-    "lambda-grid": None,
-    "k": None,
-    "out": None,
-    "format": "csv",
-    "threads": None,
-    "tol-plateau": 1e-9,
-    "tol-conv": 1e-12,
-    "order": 300,
-    "limit": 40,
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _read_config_file(path):
+def _config_options(parser):
+    """Long option name -> action, for every option a config file may set."""
+    return {a.option_strings[0][2:]: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config", "dump_config")}
+
+
+def _read_config_file(path, options):
+    """Values of a key=value file, by option dest, each converted by its option's type."""
     values = {}
     try:
         with open(path) as fh:
@@ -100,67 +55,46 @@ def _read_config_file(path):
                 if "=" not in line:
                     raise ConfigError("%s:%d: expected key=value, got %r" % (path, lineno, line))
                 key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS:
+                key, val = key.strip(), val.strip()
+                action = options.get(key)
+                if action is None:
                     raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
                 try:
-                    values[key] = CONFIG_KEYS[key](val.strip())
+                    value = action.type(val) if action.type else val
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError
                 except ValueError:
                     raise ConfigError("%s:%d: bad value for %s: %r" % (path, lineno, key, val))
+                values[action.dest] = value
     except OSError as e:
         raise ConfigError("cannot read config file: %s" % e)
     return values
-
-
-def _merge_config(args):
-    """Effective configuration: flags override config file over defaults."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_read_config_file(args.config))
-    for key in CONFIG_KEYS:
-        attr = key.replace("-", "_")
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
 
 
 def _build_potential(cfg):
     name = cfg["potential"]
     if name is None:
         raise ConfigError("--potential is required")
-    if name not in POTENTIAL_NAMES:
-        raise ConfigError("unknown potential %r (choose from %s)" % (name, ", ".join(POTENTIAL_NAMES)))
-    try:
-        if name in ("yukawa", "yukawa-cos", "yukawa-sin"):
-            variant = {"yukawa": "classical", "yukawa-cos": "cosine", "yukawa-sin": "sine"}[name]
-            if cfg["delta"] is not None:
-                mu_re = cfg["delta"]
-                mu_im = 0.0 if variant == "classical" else cfg["delta"]
-            else:
-                mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
-                mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
-            return YukawaParams(strength=cfg["A"], mu_re=mu_re, mu_im=mu_im, variant=variant)
-        if name == "kratzer":
-            if cfg["B"] is None:
-                raise ConfigError("kratzer requires --B")
-            if cfg["ell"] == 0:
-                raise ConfigError("kratzer requires |ell| >= 1: the 1/r^2 element diverges at ell = 0")
-            return KratzerParams(coulomb=cfg["A"], inverse_square=cfg["B"])
-        # morse
-        for key in ("V0", "r0", "width"):
-            if cfg[key] is None:
-                raise ConfigError("morse requires --%s" % key)
-        return MorseParams(depth=cfg["V0"], r_eq=cfg["r0"], width=cfg["width"], beta=cfg["beta"])
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _build_basis(cfg):
-    try:
-        return BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=cfg["N"])
-    except ValueError as e:
-        raise ConfigError(str(e))
+    if name in ("yukawa", "yukawa-cos", "yukawa-sin"):
+        variant = {"yukawa": "classical", "yukawa-cos": "cosine", "yukawa-sin": "sine"}[name]
+        if cfg["delta"] is not None:
+            mu_re = cfg["delta"]
+            mu_im = 0.0 if variant == "classical" else cfg["delta"]
+        else:
+            mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
+            mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
+        return YukawaParams(strength=cfg["A"], mu_re=mu_re, mu_im=mu_im, variant=variant)
+    if name == "kratzer":
+        if cfg["B"] is None:
+            raise ConfigError("kratzer requires --B")
+        if cfg["ell"] == 0:
+            raise ConfigError("kratzer requires |ell| >= 1: the 1/r^2 element diverges at ell = 0")
+        return KratzerParams(coulomb=cfg["A"], inverse_square=cfg["B"])
+    # morse
+    for key in ("V0", "r0", "width"):
+        if cfg[key] is None:
+            raise ConfigError("morse requires --%s" % key)
+    return MorseParams(depth=cfg["V0"], r_eq=cfg["r0"], width=cfg["width"], beta=cfg["beta"])
 
 
 def _parse_grid(text):
@@ -187,7 +121,7 @@ def _fmt(x):
 
 def _echo(cfg, command):
     parts = ["command=%s" % command]
-    for key in sorted(CONFIG_KEYS):
+    for key in sorted(cfg):
         if cfg[key] is not None:
             parts.append("%s=%s" % (key, cfg[key]))
     return "# " + " ".join(parts)
@@ -203,7 +137,7 @@ def _write_out(cfg, text):
 
 def _dump_config(cfg):
     lines = []
-    for key in sorted(CONFIG_KEYS):
+    for key in sorted(cfg):
         if cfg[key] is not None and key != "out":
             lines.append("%s=%s" % (key, cfg[key]))
     return "\n".join(lines) + "\n"
@@ -214,10 +148,8 @@ def _dump_config(cfg):
 
 
 def cmd_solve(cfg):
-    if cfg["format"] != "csv":
-        raise ConfigError("only --format csv is supported")
     potential = _build_potential(cfg)
-    basis = _build_basis(cfg)
+    basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=cfg["N"])
     result = bound_states(potential, basis)
     levels = result.bound
     if cfg["k"] is not None:
@@ -232,11 +164,9 @@ def cmd_solve(cfg):
 
 
 def cmd_scan(cfg):
-    if cfg["format"] != "csv":
-        raise ConfigError("only --format csv is supported")
     potential = _build_potential(cfg)
-    basis = _build_basis(cfg)
     grid = _parse_grid(cfg["lambda-grid"])
+    basis = BasisSpec(lam=grid[0], ell=cfg["ell"], size=cfg["N"])
     k = cfg["k"] if cfg["k"] is not None else 1
     report = lambda_scan(potential, basis, grid, k,
                          tol_rel=cfg["tol-plateau"], threads=cfg["threads"])
@@ -342,7 +272,7 @@ def cmd_table(cfg, table_id):
 def cmd_validate(cfg):
     potential = _build_potential(cfg)
     limit = cfg["limit"]
-    basis = _build_basis(cfg).with_size(limit + 1)
+    basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1)
     analytic = potential_matrix(potential, basis)
     oracle = quad_potential_matrix(
         radial_function(potential), basis,
@@ -368,60 +298,65 @@ def cmd_validate(cfg):
 
 
 def build_parser():
+    """The trilag parser: each option is declared once, on the subcommands that read it.
+
+    Config files, the '#' echo and --dump-config use the same declarations.
+    """
     parser = argparse.ArgumentParser(
         prog="trilag",
         description="Bound-state spectra in a tridiagonal Laguerre basis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # allow_abbrev=False: on scan, --lambda would otherwise be read as --lambda-grid
+    p_solve = sub.add_parser("solve", allow_abbrev=False, help="bound-state energies at fixed basis")
+    p_scan = sub.add_parser("scan", allow_abbrev=False, help="eigenvalue traces over a lam grid")
+    p_table = sub.add_parser("table", allow_abbrev=False, help="reproduce a reference table")
+    p_val = sub.add_parser("validate", allow_abbrev=False, help="analytic elements vs quadrature oracle")
 
-    def add_common(p):
+    p_table.add_argument("id", type=int, choices=[1, 2, 3])
+    for p in (p_solve, p_scan, p_val):
         p.add_argument("--potential", choices=POTENTIAL_NAMES)
-        p.add_argument("--A", type=float, help="Yukawa strength / Kratzer Coulomb strength")
+        p.add_argument("--A", type=float, default=1.0, help="Yukawa strength / Kratzer Coulomb strength")
         p.add_argument("--delta", type=float, help="screening parameter (sets both parts for cos/sin)")
-        p.add_argument("--mu-re", type=float, dest="mu_re")
-        p.add_argument("--mu-im", type=float, dest="mu_im")
+        p.add_argument("--mu-re", type=float)
+        p.add_argument("--mu-im", type=float)
         p.add_argument("--B", type=float, help="Kratzer inverse-square strength")
         p.add_argument("--V0", type=float, help="Morse depth")
         p.add_argument("--r0", type=float, help="Morse equilibrium radius")
         p.add_argument("--width", type=float, help="Morse exponent")
-        p.add_argument("--beta", type=float, help="Morse shape parameter")
-        p.add_argument("--ell", type=int)
-        p.add_argument("--N", type=int, help="basis size")
-        p.add_argument("--lambda", type=float, dest="lam", help="basis scale")
-        p.add_argument("--k", type=int, help="number of levels")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv"])
-        p.add_argument("--tol-plateau", type=float, dest="tol_plateau")
-        p.add_argument("--tol-conv", type=float, dest="tol_conv")
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--dump-config", action="store_true", dest="dump_config")
-
-    p_solve = sub.add_parser("solve", help="bound-state energies at fixed basis")
-    add_common(p_solve)
-    p_scan = sub.add_parser("scan", help="eigenvalue traces over a lam grid")
-    add_common(p_scan)
-    p_scan.add_argument("--lambda-grid", dest="lambda_grid",
-                        help="lo:hi:step or comma-separated lam values")
+        p.add_argument("--beta", type=float, default=1.0, help="Morse shape parameter")
+        p.add_argument("--ell", type=int, default=0)
+    for p in (p_solve, p_scan):
+        p.add_argument("--N", type=int, default=100, help="basis size")
+        p.add_argument("--k", type=int, help="number of levels (solve: all bound, scan: 1)")
+    for p in (p_solve, p_val):
+        p.add_argument("--lambda", type=float, default=1.0, help="basis scale")
+    p_scan.add_argument("--lambda-grid", help="lo:hi:step or comma-separated lam values")
+    p_scan.add_argument("--tol-plateau", type=float, default=1e-9)
     p_scan.add_argument("--threads", type=int,
                         help="worker threads over the lam grid (results unchanged)")
-    p_table = sub.add_parser("table", help="reproduce a reference table")
-    p_table.add_argument("id", type=int, choices=[1, 2, 3])
-    add_common(p_table)
-    p_val = sub.add_parser("validate", help="analytic elements vs quadrature oracle")
-    add_common(p_val)
-    p_val.add_argument("--limit", type=int, help="validate elements with n, m <= limit")
-    p_val.add_argument("--order", type=int, help="quadrature order")
+    p_val.add_argument("--limit", type=int, default=40, help="validate elements with n, m <= limit")
+    p_val.add_argument("--order", type=int, default=300, help="quadrature order")
+    for p in (p_solve, p_scan, p_table, p_val):
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--config", help="key=value file of this subcommand's long options; flags override")
+        p.add_argument("--dump-config", action="store_true")
+        # main reads the file's keys against the subcommand's own options
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # args.lam holds --lambda; map it back to the config key
-    setattr(args, "lambda", getattr(args, "lam", None))
+    options = _config_options(args.subparser)
     try:
-        cfg = _merge_config(args)
-        if getattr(args, "dump_config", False):
+        if args.config:
+            # file values become the subcommand's defaults; flags parsed again override them
+            args.subparser.set_defaults(**_read_config_file(args.config, options))
+            args = parser.parse_args(argv)
+        cfg = {key: getattr(args, action.dest) for key, action in options.items()}
+        if args.dump_config:
             sys.stdout.write(_dump_config(cfg))
             return EXIT_OK
         if args.command == "solve":
@@ -433,13 +368,11 @@ def main(argv=None):
         if args.command == "validate":
             return cmd_validate(cfg)
         raise ConfigError("unknown command %r" % args.command)
-    except ConfigError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as e:
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as e:
+        # ConfigError and the parameter checks of the library
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,56 +1,14 @@
 """Scalar special-function kernels.
 
 Everything here is a small, pure building block used by the matrix-element
-formulas: log-gamma, generalized Laguerre polynomial sequences, basis
-normalization coefficients, real-argument binomials and terminating Gauss
-hypergeometric sums.
+formulas and the quadrature oracle: generalized Laguerre polynomial
+sequences and basis normalization coefficients.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-
-
-class PoleError(ValueError):
-    """A Pochhammer factor in the denominator vanished with a nonzero numerator."""
-
-
-@dataclass(frozen=True)
-class LaguerreOrder:
-    """Degree n and upper index nu of a generalized Laguerre polynomial."""
-
-    n: int
-    nu: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("polynomial degree must be nonnegative, got %r" % (self.n,))
-        if self.nu < 0:
-            raise ValueError("upper index nu must be nonnegative, got %r" % (self.nu,))
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    x = float(x)
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0, got %r" % (x,))
-    return float(gammaln(x))
-
-
-def binom_real(a, k):
-    """Binomial coefficient a over k with real upper argument.
-
-    Computed as the falling-factorial product a (a-1) ... (a-k+1) / k!,
-    which is well defined for any real a and integer k >= 0.
-    """
-    if k < 0:
-        raise ValueError("binom_real requires k >= 0, got %r" % (k,))
-    out = 1.0
-    for i in range(int(k)):
-        out *= (a - i) / (i + 1)
-    return out
 
 
 def laguerre_seq(n_max, nu, x):
@@ -85,37 +43,3 @@ def norm_coeff(n, nu, lam):
         raise ValueError("norm_coeff requires n >= 0, nu >= 0, lam > 0")
     return math.sqrt(lam) * math.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0)))
 
-
-def hyp2f1_terminating(neg_n, b, c, z):
-    """2F1(-neg_n, b; c; z) as an explicit finite sum of neg_n + 1 terms.
-
-    The first parameter is the negative integer -neg_n, so the series
-    terminates after neg_n + 1 terms regardless of |z|; no continuation
-    is attempted.  Terms are accumulated with compensated summation.
-
-    Raises PoleError if a Pochhammer factor (c)_k vanishes while the
-    running numerator is still nonzero.
-    """
-    neg_n = int(neg_n)
-    if neg_n < 0:
-        raise ValueError("neg_n must be a nonnegative integer")
-    z = complex(z)
-    total = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(neg_n):
-        num = (-neg_n + k) * (b + k)
-        den = (c + k) * (k + 1)
-        if den == 0:
-            if term * num != 0:
-                raise PoleError(
-                    "2F1 denominator parameter hit a pole: (c)_k = 0 at k=%d" % (k + 1,)
-                )
-            break
-        term = term * num / den * z
-        # Kahan update
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total

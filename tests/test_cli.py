@@ -10,6 +10,25 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# each subcommand registers only the options it reads; any other is a usage error
+@pytest.mark.parametrize("argv", [
+    ["solve", "--threads", "2"],
+    ["solve", "--tol-plateau", "1e-9"],
+    ["scan", "--lambda", "2"],
+    ["table", "1", "--potential", "morse"],
+    ["table", "1", "--N", "5"],
+    ["validate", "--N", "50"],
+    ["validate", "--k", "1"],
+    ["solve", "--format", "csv"],
+    ["scan", "--tol-conv", "1e-12"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_option_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 class TestSolve:
     def test_reference_row(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential", "yukawa-cos", "--A", "1",
@@ -41,14 +60,6 @@ class TestSolve:
     def test_missing_potential(self, capsys):
         code, _, err = run(capsys, "solve", "--delta", "0.5")
         assert code == EXIT_CONFIG
-
-    def test_threads_is_a_usage_error(self, capsys):
-        # only scan runs in parallel; solve has no --threads option
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "--potential", "yukawa-cos", "--delta", "0.5",
-                  "--threads", "2"])
-        assert err.value.code == 2
-        assert "--threads" in capsys.readouterr().err
 
     def test_non_finite_lambda_is_config_error(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
@@ -136,15 +147,23 @@ class TestValidate:
 
 
 class TestConfigFile:
-    def test_round_trip(self, capsys, tmp_path):
-        argv = ("solve", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "80",
-                "--lambda", "2")
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "80",
+         "--lambda", "2"),
+        ("scan", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "60",
+         "--lambda-grid", "1:3:0.5", "--k", "2", "--threads", "2"),
+        ("validate", "--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5",
+         "--beta", "0.8", "--ell", "1", "--lambda", "6", "--limit", "20", "--order", "100"),
+        ("table", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_round_trip(self, capsys, tmp_path, argv):
         code, dump, _ = run(capsys, *argv, "--dump-config")
         assert code == EXIT_OK
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(dump)
         _, direct, _ = run(capsys, *argv)
-        _, via_config, _ = run(capsys, "solve", "--config", str(cfgfile))
+        command = argv[:2] if argv[0] == "table" else argv[:1]
+        _, via_config, _ = run(capsys, *command, "--config", str(cfgfile))
         assert direct == via_config
 
     def test_flags_override_file(self, capsys, tmp_path):
@@ -160,6 +179,18 @@ class TestConfigFile:
         code, _, err = run(capsys, "solve", "--config", str(cfgfile))
         assert code == EXIT_CONFIG
         assert "bogus" in err
+
+    def test_key_of_another_subcommand_rejected(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("potential=yukawa-cos\ndelta=0.5\nthreads=2\n")
+        code, _, err = run(capsys, "solve", "--config", str(cfgfile))
+        assert code == EXIT_CONFIG
+        assert "%s:3" % cfgfile in err
+        assert "threads" in err
+        code, out, _ = run(capsys, "scan", "--config", str(cfgfile), "--N", "60",
+                           "--lambda-grid", "1:3:0.5")
+        assert code == EXIT_OK
+        assert "threads=2" in out.splitlines()[0]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--config", "/nonexistent/run.cfg")

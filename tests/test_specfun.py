@@ -1,50 +1,10 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from trilag.quadrature import gauss_laguerre_rule
-from trilag.specfun import (
-    LaguerreOrder,
-    PoleError,
-    binom_real,
-    hyp2f1_terminating,
-    laguerre_seq,
-    log_gamma,
-    norm_coeff,
-)
-
-
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-14)
-        assert log_gamma(11.0) == pytest.approx(math.log(3628800), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 3.7, 25.0, 1e3, 1e6])
-    def test_against_mpmath(self, x):
-        ref = float(mpmath.loggamma(x))
-        assert log_gamma(x) == pytest.approx(ref, rel=1e-14, abs=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-class TestBinomReal:
-    def test_examples(self):
-        assert binom_real(3, 1) == 3
-        assert binom_real(2.5, 2) == pytest.approx(1.875, rel=1e-15)
-        assert binom_real(123.456, 0) == 1.0
-
-    def test_integer_agreement(self):
-        assert binom_real(10, 4) == pytest.approx(210.0, rel=1e-14)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            binom_real(3.0, -1)
+from trilag.specfun import laguerre_seq, norm_coeff
 
 
 class TestLaguerreSeq:
@@ -80,13 +40,13 @@ class TestLaguerreSeq:
                 for m in range(n, 11):
                     got = rule.integrate(L[n] * L[m])
                     want = 0.0 if n != m else math.exp(
-                        log_gamma(n + nu + 1) - log_gamma(n + 1.0)
+                        math.lgamma(n + nu + 1) - math.lgamma(n + 1.0)
                     )
                     if n == m:
                         assert got == pytest.approx(want, rel=1e-12)
                     else:
                         assert abs(got) <= 1e-12 * math.exp(
-                            log_gamma(n + nu + 1) - log_gamma(n + 1.0)
+                            math.lgamma(n + nu + 1) - math.lgamma(n + 1.0)
                         )
 
 
@@ -101,7 +61,7 @@ class TestNormCoeff:
     def test_norm_identity(self, n, nu):
         lam = 2.5
         a = norm_coeff(n, nu, lam)
-        val = a * a * math.exp(log_gamma(n + nu + 1) - log_gamma(n + 1.0))
+        val = a * a * math.exp(math.lgamma(n + nu + 1) - math.lgamma(n + 1.0))
         assert val == pytest.approx(lam, rel=1e-13)
 
     def test_domain(self):
@@ -110,47 +70,3 @@ class TestNormCoeff:
         with pytest.raises(ValueError):
             norm_coeff(0, 0.0, 0.0)
 
-
-class TestHyp2F1Terminating:
-    def test_empty_sum(self):
-        assert hyp2f1_terminating(0, 5.0, -2.0, 0.7) == 1.0
-
-    def test_single_term(self):
-        z = 0.37
-        assert hyp2f1_terminating(1, -1.0, -2.0, z) == pytest.approx(1 - z / 2, rel=1e-15)
-        assert hyp2f1_terminating(1, 3.0, 2.0, 1.0) == pytest.approx(-0.5, rel=1e-15)
-
-    def test_exact_at_zero(self):
-        assert hyp2f1_terminating(17, 2.3, -40.5, 0.0) == 1.0
-
-    @pytest.mark.parametrize("n,b,c,z", [
-        (3, 1.5, 4.0, 0.3),
-        (5, -2.0, 7.5, -1.7),
-        (8, 0.5, 3.0, 2.4),   # |z| > 1: termination makes it fine
-    ])
-    def test_against_mpmath(self, n, b, c, z):
-        ref = complex(mpmath.hyp2f1(-n, b, c, z))
-        got = hyp2f1_terminating(n, b, c, z)
-        assert got == pytest.approx(ref, rel=1e-12)
-
-    def test_pole_error(self):
-        # (c)_k passes through zero at k=2 with nonzero numerator
-        with pytest.raises(PoleError):
-            hyp2f1_terminating(3, 1.0, -1.0, 0.5)
-
-    def test_complex_argument(self):
-        z = 0.4 + 0.9j
-        ref = complex(mpmath.hyp2f1(-4, 2.0, 5.0, mpmath.mpc(z)))
-        assert hyp2f1_terminating(4, 2.0, 5.0, z) == pytest.approx(ref, rel=1e-12)
-
-
-class TestLaguerreOrder:
-    def test_valid(self):
-        o = LaguerreOrder(3, 2.0)
-        assert o.n == 3 and o.nu == 2.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            LaguerreOrder(-1, 0.0)
-        with pytest.raises(ValueError):
-            LaguerreOrder(0, -0.5)
