@@ -71,20 +71,35 @@ def _read_config_file(path, options):
     return values
 
 
+# the potential options without a default, by the family that reads them
+_FAMILY_OPTIONS = {
+    "yukawa": ("delta", "mu-re", "mu-im"),
+    "kratzer": ("B",),
+    "morse": ("V0", "r0", "width"),
+}
+
+
 def _build_potential(cfg):
     name = cfg["potential"]
     if name is None:
         raise ConfigError("--potential is required")
-    if name in ("yukawa", "yukawa-cos", "yukawa-sin"):
+    family = name.split("-")[0]
+    for other, keys in _FAMILY_OPTIONS.items():
+        for key in keys:
+            if other != family and cfg[key] is not None:
+                raise ConfigError("--%s does not apply to --potential %s" % (key, name))
+    if family == "yukawa":
         variant = {"yukawa": "classical", "yukawa-cos": "cosine", "yukawa-sin": "sine"}[name]
         if cfg["delta"] is not None:
+            if cfg["mu-re"] is not None or cfg["mu-im"] is not None:
+                raise ConfigError("--delta sets the screening: give it or --mu-re/--mu-im, not both")
             mu_re = cfg["delta"]
             mu_im = 0.0 if variant == "classical" else cfg["delta"]
         else:
             mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
             mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
         return YukawaParams(strength=cfg["A"], mu_re=mu_re, mu_im=mu_im, variant=variant)
-    if name == "kratzer":
+    if family == "kratzer":
         if cfg["B"] is None:
             raise ConfigError("kratzer requires --B")
         if cfg["ell"] == 0:

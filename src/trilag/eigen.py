@@ -9,16 +9,34 @@ The factor is taken in LAPACK band storage.  L has the lower bandwidth kd
 of S (the farthest nonzero subdiagonal), so the factorisation costs
 O(N kd^2) and each triangular solve against N right-hand sides O(N^2 kd).
 The basis overlap is tridiagonal (kd = 1): its factor is lower bidiagonal
-and the whole reduction is O(N^2), leaving the symmetric eigensolver as
-the only cubic step.  A dense S is simply the kd = N - 1 case.
+and the whole reduction is O(N^2).  A dense S is simply the kd = N - 1
+case.
+
+A is then tridiagonalised once (dsytrd, Q^T A Q = T, 4N^3/3 flops), the
+one cubic step every request pays.  All eigenvalues come from T (dsterf,
+O(N^2); a request for every vector takes them from the MRRR call below).
+Eigenvectors are computed only for the k lowest levels asked for: MRRR
+(dstemr) on T, the reflectors of Q applied to those k columns
+(dormqr, 2N^2 k) and L^{-T} to the same k columns, as LAPACK's own subset
+drivers do.  A caller that inspects only the bound levels thus pays
+O(N^2 k) beyond the reduction instead of another two cubic steps.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dpbtrf, dpotrf, dtbtrs
+from scipy.linalg.lapack import (
+    dormqr,
+    dpbtrf,
+    dpotrf,
+    dstemr,
+    dstemr_lwork,
+    dsterf,
+    dsytrd,
+    dsytrd_lwork,
+    dtbtrs,
+)
 
 __all__ = ["Pencil", "NotPositiveDefiniteError", "cholesky", "solve_pencil"]
 
@@ -85,30 +103,85 @@ def _band_solve(c, b, trans="N"):
     return x
 
 
+def _check_converged(info, routine):
+    if info != 0:
+        raise np.linalg.LinAlgError("%s failed with info %d" % (routine, info))
+
+
+def _mrrr(d, e, k):
+    """Lowest k eigenpairs of the tridiagonal (d, e), by MRRR (dstemr)."""
+    N = len(d)
+    e = np.r_[e, 0.0]  # dstemr takes an N-long off-diagonal, and overwrites it
+    # range 'I' (2) costs about 5k/N times range 'A' (0), so from N/5 levels
+    # on every pair is computed and the lowest k kept
+    rng = 0 if 5 * k >= N else 2
+    lwork, liwork, info = dstemr_lwork(d, e, rng, 0.0, 0.0, 1, k)
+    _check_converged(info, "dstemr_lwork")
+    _, w, Z, info = dstemr(d, e, rng, 0.0, 0.0, 1, k, lwork=int(lwork), liwork=liwork)
+    _check_converged(info, "dstemr")
+    return w[:k], Z[:, :k]
+
+
+def _apply_q(QT, tau, Z):
+    """Q Z for the Q of dsytrd (lower): Q = H(1) ... H(N-1) acts on rows
+    1..N-1, with the reflectors stored below the subdiagonal of QT."""
+    if len(Z) == 1:
+        return Z  # no reflectors
+    V = np.asfortranarray(QT[1:, :-1])
+    C = np.asfortranarray(Z[1:])
+    # scipy has no dormtr: dormqr on the trailing (N-1) x (N-1) block
+    _, work, info = dormqr("L", "N", V, tau, C, -1, overwrite_c=1)
+    _check_converged(info, "dormqr")
+    Z[1:], _, info = dormqr("L", "N", V, tau, C, int(work[0]), overwrite_c=1)
+    _check_converged(info, "dormqr")
+    return Z
+
+
 _COND_WARN = 1e12
 
 
-def solve_pencil(p, eigvecs=False):
+def solve_pencil(p, eigvecs=False, below=np.inf):
     """Ascending eigenvalues of the pencil, optionally with eigenvectors.
 
-    Eigenvectors, when requested, are returned as columns and are
-    S-orthonormal (f_i^T S f_j = delta_ij).  Emits a warning when the
-    overlap condition number estimate exceeds 1e12 (accuracy of the
-    reduction degrades).
+    With eigvecs, every eigenvalue is returned together with the
+    eigenvectors of those below `below` (all of them by default), as
+    ascending columns; there may be none.  They are S-orthonormal
+    (f_i^T S f_j = delta_ij).  Emits a warning when the overlap condition
+    number estimate exceeds 1e12 (accuracy of the reduction degrades).
     """
     c = _band_cholesky(np.asarray(p.s, dtype=float))
-    d = np.abs(c[0])
-    if (d.max() / d.min()) ** 2 > _COND_WARN:
+    piv = np.abs(c[0])
+    if (piv.max() / piv.min()) ** 2 > _COND_WARN:
         warnings.warn(
             "overlap matrix is badly conditioned (estimate %.2e); eigenvalues "
-            "may lose accuracy" % float((d.max() / d.min()) ** 2),
+            "may lose accuracy" % float((piv.max() / piv.min()) ** 2),
             RuntimeWarning,
         )
     # A = L^{-1} H L^{-T}; H is symmetric, so (L^{-1} H)^T = H L^{-T}
     Y = _band_solve(c, np.asarray(p.h, dtype=float))
     A = _band_solve(c, Y.T)
     A = 0.5 * (A + A.T)
-    if not eigvecs:
-        return sla.eigh(A, eigvals_only=True)
-    w, Z = sla.eigh(A)
-    return w, _band_solve(c, Z, trans="T")
+    N = A.shape[0]
+    # Q^T A Q = T, tridiagonal (d, e).  A is symmetric, so A.T is the same
+    # matrix in the Fortran order that dsytrd overwrites without a copy.
+    lwork, info = dsytrd_lwork(N, lower=1)
+    _check_converged(info, "dsytrd_lwork")
+    QT, d, e, tau, info = dsytrd(A.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check_converged(info, "dsytrd")
+    if eigvecs and below == np.inf:
+        # every pair wanted: MRRR finds all eigenvalues with the vectors
+        w, Z = _mrrr(d, e, N)
+    else:
+        if N == 1:
+            w = d
+        else:
+            w, info = dsterf(d, e)
+            _check_converged(info, "dsterf")
+        if not eigvecs:
+            return w
+        k = int(np.searchsorted(w, below))
+        if k == 0:
+            # never handed to dtbtrs: zero right-hand sides corrupt its heap
+            return w, np.zeros((N, 0))
+        _, Z = _mrrr(d, e, k)
+    return w, _band_solve(c, _apply_q(QT, tau, Z), trans="T")

@@ -25,7 +25,8 @@ recurrences (no gamma-function round-off) in extended precision: real
 longdouble when sigma is real, complex only when it is not.
 
 C is lower triangular, so the product (C*h) @ C.T is taken in column blocks
-over the nonzero prefix of C only (_lower_gram): the lower triangle is
+over the nonzero prefix of C only (_lower_gram, which also serves the dense
+Laguerre table of the quadrature oracle): the lower triangle is
 bit-identical to the full product at about a sixth of its multiply-adds.
 The exponential kernel weighs its moments with one more power of x; it is
 written J1 = sigma^{-(nu+2)} E P E^T, with P the same moment sum at nu+1 and
@@ -189,21 +190,25 @@ def _symmetrize(M):
 
 
 def _lower_gram(C, w):
-    """Lower block triangle of (C*w) @ C.T for a lower-triangular C.
+    """Lower block triangle of (C*w) @ C.T.
 
-    Column block K of the result is (C*w)[k0:, :k1] @ C[k0:k1, :k1].T:
-    the columns j >= k1 it leaves out hold exact zeros of C, and the
-    unblocked extended-precision matmul sums over j in the same order, so
-    every entry on or below the diagonal is bit-identical to the full
-    product at about a sixth of its multiply-adds.  The diagonal blocks
-    also carry upper entries; the blocks above them are zero.
+    Column block K is (C*w)[k0:, :e] @ C[k0:k1, :e].T, where e is one past
+    the last nonzero column of rows k0:k1 of C: k1 for a lower-triangular C,
+    every column for a dense one.  The columns it leaves out hold exact
+    zeros, and the unblocked extended-precision matmul sums over columns in
+    order, so every entry on or below the diagonal is bit-identical to the
+    full product; for a triangular C that takes about a sixth of its
+    multiply-adds.  The diagonal blocks also carry upper entries; the
+    blocks above them are zero.
     """
     N = C.shape[0]
     Cw = C * w
     J = np.zeros((N, N), Cw.dtype)
     for k0 in range(0, N, _GRAM_BLOCK):
         k1 = min(k0 + _GRAM_BLOCK, N)
-        J[k0:, k0:k1] = Cw[k0:, :k1] @ C[k0:k1, :k1].T
+        nonzero = np.flatnonzero(C[k0:k1].any(axis=0))
+        e = nonzero[-1] + 1 if nonzero.size else 0
+        J[k0:, k0:k1] = Cw[k0:, :e] @ C[k0:k1, :e].T
     return J
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
+from .potentials import _lower_gram, _symmetrize
 from .specfun import laguerre_seq
 
 __all__ = ["QuadRule", "gauss_laguerre_rule", "quad_matrix_element", "quad_potential_matrix"]
@@ -163,8 +164,9 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     """Full size x size numerical potential matrix for the radial function v.
 
     Evaluates the Laguerre sequence once per node and assembles all
-    elements with a single rank-reduction product, so the cost is
-    O(order * size^2) after O(order * size) polynomial evaluations.
+    elements from the lower block triangle of one rank-reduction product,
+    mirrored, so the cost is O(order * size^2 / 2) after O(order * size)
+    polynomial evaluations.
     """
     N = basis.size
     if order is None:
@@ -187,6 +189,5 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     # roundoff from the large ones
     g = rule.weights * xl ** (2 * basis.alpha - weight_nu) * np.asarray(vals, np.longdouble)
     a = np.array([basis.norm_coeff(k) for k in range(N)])
-    M = (L * g) @ L.T
-    M = (M + M.T) / 2
+    M = _symmetrize(_lower_gram(L, g))
     return (np.outer(a, a) / basis.lam) * M.astype(float)

@@ -91,19 +91,18 @@ def bound_states(potential, basis):
     """
     S = overlap_matrix(basis)
     H = h0_matrix(basis) + potential_matrix(potential, basis)
-    w, F = solve_pencil(Pencil(H, S), eigvecs=True)
-    bound_idx = [i for i, e in enumerate(w) if e < -ZERO_BAND]
+    # vectors only for the bound levels, which are the first columns
+    w, F = solve_pencil(Pencil(H, S), eigvecs=True, below=-ZERO_BAND)
     unresolved = tuple(i for i, e in enumerate(w) if abs(e) <= ZERO_BAND)
-    suspect = []
-    if bound_idx and basis.size > GUARD_TAIL:
-        tail = _tail_fractions(F[:, bound_idx], basis.nu)
-        suspect = [bound_idx[j] for j in range(len(bound_idx)) if tail[j] > GUARD_FRACTION]
+    suspect = ()
+    if basis.size > GUARD_TAIL:
+        suspect = tuple(np.flatnonzero(_tail_fractions(F, basis.nu) > GUARD_FRACTION).tolist())
     return SpectrumResult(
         energies=w,
-        bound=w[bound_idx],
+        bound=w[:F.shape[1]].copy(),
         basis=basis,
         potential=potential,
-        suspect=tuple(suspect),
+        suspect=suspect,
         unresolved=unresolved,
     )
 

@@ -61,6 +61,29 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--delta", "0.5")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5",
+          "--delta", "0.5", "--B", "3", "--mu-re", "9", "--N", "40", "--k", "1"], "--delta"),
+        (["--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5",
+          "--B", "3"], "--B"),
+        (["--potential", "kratzer", "--B", "5", "--ell", "1", "--mu-im", "1"], "--mu-im"),
+        (["--potential", "kratzer", "--B", "5", "--ell", "1", "--r0", "4"], "--r0"),
+        (["--potential", "yukawa", "--delta", "0.5", "--B", "3"], "--B"),
+        (["--potential", "yukawa-sin", "--mu-re", "1", "--width", "1"], "--width"),
+    ], ids=["found", "morse-B", "kratzer-mu-im", "kratzer-r0", "yukawa-B", "sine-width"])
+    def test_option_of_another_family_is_config_error(self, capsys, argv, named):
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("mu", ["--mu-re", "--mu-im"])
+    def test_delta_with_mu_is_config_error(self, capsys, mu):
+        code, _, err = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
+                           mu, "9")
+        assert code == EXIT_CONFIG
+        assert "--delta" in err and mu in err
+
     def test_non_finite_lambda_is_config_error(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
                            "--lambda", "nan")

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -13,6 +14,8 @@ from trilag.eigen import (
     cholesky,
     solve_pencil,
 )
+from trilag.potentials import KratzerParams, YukawaParams, kratzer_matrix
+from trilag.solver import bound_states
 
 
 class TestCholesky:
@@ -123,3 +126,59 @@ class TestSolvePencil:
     def test_indefinite_propagates(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_pencil(Pencil(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+
+def _random_pencil(N, seed):
+    """Random symmetric h and dense SPD s."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((N, N))
+    G = rng.standard_normal((N, N))
+    return Pencil(G + G.T, M @ M.T + N * np.eye(N))
+
+
+def _kratzer_pencil(N):
+    """Kratzer Hamiltonian and the tridiagonal basis overlap."""
+    b = BasisSpec(2.0, 2, N)
+    return Pencil(h0_matrix(b) + kratzer_matrix(KratzerParams(1.0, 5.0), b), overlap_matrix(b))
+
+
+# N = 1 and 2, a dense overlap, and the basis overlap at a size where some
+# levels are bound; k = 0, 1, a few, at least N/5 (the full MRRR range), N
+SUBSET_CASES = [
+    (lambda: Pencil(np.array([[-0.5]]), np.array([[2.0]])), (0, 1)),
+    (lambda: _random_pencil(2, 3), (0, 1, 2)),
+    (lambda: _random_pencil(50, 11), (0, 1, 7, 30, 50)),
+    (lambda: _kratzer_pencil(300), (0, 1, 7, 150, 300)),
+]
+
+
+class TestEigenvectorSubset:
+    @pytest.mark.parametrize("make, ks", SUBSET_CASES, ids=["N1", "N2", "N50-dense", "N300-basis"])
+    def test_lowest_k_columns(self, make, ks):
+        p = make()
+        N = p.h.shape[0]
+        ref = sla.eigh(p.h, p.s, eigvals_only=True)
+        _, F_all = solve_pencil(p, eigvecs=True)
+        scale = max(1.0, np.abs(ref).max())
+        for k in ks:
+            # below halfway between the k-th and (k+1)-th reference levels
+            lo = ref[k - 1] if k > 0 else ref[0] - 1.0
+            hi = ref[k] if k < N else ref[-1] + 1.0
+            w, F = solve_pencil(p, eigvecs=True, below=0.5 * (lo + hi))
+            assert F.shape == (N, k)
+            np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12 * scale)
+            assert np.array_equal(w, solve_pencil(p))
+            np.testing.assert_allclose(F.T @ p.s @ F, np.eye(k), rtol=0, atol=1e-10)
+            # eigenvectors are fixed only up to sign
+            sign = np.sign(np.sum(F * F_all[:, :k], axis=0))
+            np.testing.assert_allclose(F * sign, F_all[:, :k], rtol=0, atol=1e-10)
+
+    def test_no_bound_level(self):
+        # cosine screening delta = 9 binds nothing: no vector reaches the
+        # back-transform, whose zero-column call would corrupt the heap
+        p = YukawaParams(strength=1.0, mu_re=9.0, mu_im=9.0, variant="cosine")
+        result = bound_states(p, BasisSpec(5.0, 0, 100))
+        gc.collect()
+        assert len(result.bound) == 0
+        assert result.suspect == ()
+        assert result.energies.min() > 0

@@ -91,6 +91,15 @@ class TestLowerGram:
         assert J.dtype == dtype
         assert np.array_equal(np.tril(J), np.tril((C * w) @ C.T))
 
+    @pytest.mark.parametrize("shape", [(1, 3), (33, 50), (101, 450)])
+    def test_dense_factor_lower_triangle_bit_identical(self, shape):
+        # the quadrature oracle's Laguerre table: every row reaches every node
+        rng = np.random.default_rng(shape[0])
+        L = rng.standard_normal(shape).astype(np.longdouble)
+        g = rng.uniform(0.5, 2.0, shape[1]).astype(np.longdouble)
+        J = _lower_gram(L, g)
+        assert np.array_equal(np.tril(J), np.tril((L * g) @ L.T))
+
 
 class TestYukawaElement:
     def test_coulomb_limit_value(self):
