@@ -2,25 +2,23 @@
 
 The basis renders the reference Hamiltonian and the overlap tridiagonal
 while three potential families (screened Coulomb / Yukawa, Kratzer,
-generalized Morse) keep closed-form potential matrices, so spectra reduce
-to a symmetric-definite generalized eigenproblem.  A generalized
-Gauss-Laguerre quadrature oracle independently validates every analytic
-matrix element.
+generalized Morse) get closed-form or Gauss-assembled potential matrices,
+so spectra reduce to a symmetric-definite generalized eigenproblem.  A
+generalized Gauss-Laguerre quadrature oracle independently validates every
+assembled matrix element.
 """
 
 from .basis import BasisSpec, h0_matrix, overlap_matrix
-from .eigen import NotPositiveDefiniteError, Pencil, cholesky, solve_pencil
+from .eigen import NotPositiveDefiniteError, Pencil, solve_pencil
 from .potentials import (
     KratzerParams,
     MorseParams,
     YukawaParams,
-    exp_element,
     exp_matrix,
     kratzer_matrix,
     morse_matrix,
     oracle_weight_nu,
     radial_function,
-    yukawa_element,
     yukawa_matrix,
 )
 from .quadrature import QuadRule, gauss_laguerre_rule, quad_matrix_element, quad_potential_matrix
@@ -50,10 +48,8 @@ __all__ = [
     "SpectrumResult",
     "YukawaParams",
     "bound_states",
-    "cholesky",
     "converge_in_n",
     "critical_screening",
-    "exp_element",
     "exp_matrix",
     "gauss_laguerre_rule",
     "h0_matrix",
@@ -68,6 +64,5 @@ __all__ = [
     "quad_potential_matrix",
     "radial_function",
     "solve_pencil",
-    "yukawa_element",
     "yukawa_matrix",
 ]

@@ -288,15 +288,15 @@ def cmd_validate(cfg):
     potential = _build_potential(cfg)
     limit = cfg["limit"]
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1)
-    analytic = potential_matrix(potential, basis)
+    assembled = potential_matrix(potential, basis)
     oracle = quad_potential_matrix(
         radial_function(potential), basis,
         order=cfg["order"], weight_nu=oracle_weight_nu(potential, basis),
     )
-    diff = np.abs(analytic - oracle)
+    diff = np.abs(assembled - oracle)
     # relative where the element is appreciable, absolute (scaled to the
     # same 1e-11 threshold) where it is tiny
-    dev = diff / np.maximum(np.abs(analytic), 1e-2)
+    dev = diff / np.maximum(np.abs(assembled), 1e-2)
     n, m = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[n, m])
     buf = io.StringIO()
@@ -326,7 +326,7 @@ def build_parser():
     p_solve = sub.add_parser("solve", allow_abbrev=False, help="bound-state energies at fixed basis")
     p_scan = sub.add_parser("scan", allow_abbrev=False, help="eigenvalue traces over a lam grid")
     p_table = sub.add_parser("table", allow_abbrev=False, help="reproduce a reference table")
-    p_val = sub.add_parser("validate", allow_abbrev=False, help="analytic elements vs quadrature oracle")
+    p_val = sub.add_parser("validate", allow_abbrev=False, help="assembled elements vs quadrature oracle")
 
     p_table.add_argument("id", type=int, choices=[1, 2, 3])
     for p in (p_solve, p_scan, p_val):

@@ -29,7 +29,6 @@ import numpy as np
 from scipy.linalg.lapack import (
     dormqr,
     dpbtrf,
-    dpotrf,
     dstemr,
     dstemr_lwork,
     dsterf,
@@ -38,7 +37,7 @@ from scipy.linalg.lapack import (
     dtbtrs,
 )
 
-__all__ = ["Pencil", "NotPositiveDefiniteError", "cholesky", "solve_pencil"]
+__all__ = ["Pencil", "NotPositiveDefiniteError", "solve_pencil"]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -68,17 +67,6 @@ def _check_info(info, routine):
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
         raise ValueError("illegal argument %d to %s" % (-info, routine))
-
-
-def cholesky(s):
-    """Lower-triangular L with L L^T = s and positive diagonal.
-
-    Raises NotPositiveDefiniteError naming the failing pivot when s is not
-    positive definite.
-    """
-    L, info = dpotrf(np.asarray(s, dtype=float), lower=1, clean=1)
-    _check_info(info, "dpotrf")
-    return L
 
 
 def _band_cholesky(s):

@@ -1,54 +1,60 @@
-"""Closed-form potential matrices in the Laguerre basis.
+"""Potential matrices in the Laguerre basis.
 
-Three families have analytically closed elements here: the generalized
-(complex-screened) Yukawa, the Kratzer potential and the generalized Morse
-potential, plus the exponential kernel exp(-c r) they share.
+Three families are covered: the screened Coulomb (Yukawa) potential with
+its cosine- and sine-screened variants, the Kratzer potential and the
+generalized Morse potential, plus the exponential kernel exp(-c r) they
+share.
 
-All exponential-type elements reduce to integrals of the form
+The classical Yukawa and the exponential kernel reduce to integrals of the
+form
 
-    J_nm = int_0^inf x^nu e^{-sigma x} L_n^nu(x) L_m^nu(x) dx,
+    J_nm = int_0^inf x^nu e^{-sigma x} L_n^nu(x) L_m^nu(x) dx
 
-which are evaluated through the argument-scaling identity
+at real sigma = 1 + c/lam >= 1, evaluated through the argument-scaling
+identity
 
     L_n^nu(x) = sum_j binom(n+nu, n-j) sigma^{-n} (sigma-1)^{n-j} L_j^nu(sigma x)
 
 so that J_nm = sigma^{-(nu+1)} sum_j C[n,j] C[m,j] h_j with
 h_j = Gamma(j+nu+1)/j! and C[n,j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n.
-For real sigma >= 1 every term is non-negative, so there is no cancellation
-and the evaluation stays accurate for large n, m and large screening, where
-the textbook hypergeometric form loses all precision.  For complex sigma the
-powers (sigma-1)^{n-j} rotate and the terms do cancel: for the cosine
-Yukawa at sigma = 1 + (delta + i delta)/lam, sum|terms| / |Re J| reaches
-7.7e24 at N=400, and the large-N elements lose accuracy there.
-The connection coefficients and the moment norms are built by exact ratio
-recurrences (no gamma-function round-off) in extended precision: real
-longdouble when sigma is real, complex only when it is not.
-
-C is lower triangular, so the product (C*h) @ C.T is taken in column blocks
-over the nonzero prefix of C only (_lower_gram, which also serves the dense
-Laguerre table of the quadrature oracle): the lower triangle is
-bit-identical to the full product at about a sixth of its multiply-adds.
+Every term is non-negative, so there is no cancellation and the evaluation
+stays accurate for large n, m and large screening, where the textbook
+hypergeometric form loses all precision.  The connection coefficients and
+the moment norms are built by exact ratio recurrences (no gamma-function
+round-off) in longdouble.  C is lower triangular, so the product
+(C*h) @ C.T is taken over its nonzero prefix only (quadrature._lower_gram).
 The exponential kernel weighs its moments with one more power of x; it is
 written J1 = sigma^{-(nu+2)} E P E^T, with P the same moment sum at nu+1 and
 E the bidiagonal map L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1}, so it also needs
 only one triangular product.
+
+The cosine and sine wells -(A/r) cos(mu_im r) e^{-mu_re r} and
++(A/r) sin(mu_im r) e^{-mu_re r} have no such cancellation-free form: the
+same sum at complex sigma loses every digit at large N.  They are assembled
+by Gauss quadrature instead, V = (Q*f) @ Q.T, the quadrature (Jacobi-matrix)
+form of the potential used in the J-matrix method (Heller & Yamani, Phys.
+Rev. A 9, 1201 (1974)).  Q holds the orthonormal Laguerre functions at the
+nodes of a Gauss rule for the weight x^nu e^{-s x}, s = 1 + mu_re/lam, and
+f the oscillating factor.  The screening e^{-(s-1) x} leaves about
+(mu_im/mu_re) 40/pi zeros of the oscillation where the integrand matters,
+so one constant margin of nodes covers every mu_im <= mu_re; YukawaParams
+rejects the rest.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import gammaln
 
-from .basis import overlap_matrix
+from .quadrature import _lower_gram, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
     "YukawaParams",
     "KratzerParams",
     "MorseParams",
-    "yukawa_element",
     "yukawa_matrix",
-    "exp_element",
     "exp_matrix",
     "morse_matrix",
     "kratzer_matrix",
@@ -66,11 +72,12 @@ def _require_finite(params, *names):
 
 @dataclass(frozen=True)
 class YukawaParams:
-    """Screened Coulomb -(strength/r) e^{-mu r} with mu = mu_re + i mu_im.
+    """Screened Coulomb well of strength A with screening mu_re, mu_im.
 
-    variant selects the real potential actually solved: 'classical' is the
-    ordinary Yukawa (mu_im = 0), 'cosine' and 'sine' are the real and
-    imaginary parts of the complex-screened form.
+    variant selects the real potential solved: 'classical' is the ordinary
+    Yukawa -(A/r) e^{-mu_re r} (mu_im = 0), 'cosine' is
+    -(A/r) cos(mu_im r) e^{-mu_re r} and 'sine' +(A/r) sin(mu_im r) e^{-mu_re r}.
+    The screening must satisfy 0 <= mu_im <= mu_re.
     """
 
     strength: float
@@ -84,14 +91,15 @@ class YukawaParams:
             raise ValueError("Yukawa strength must be > 0")
         if self.mu_re < 0 or self.mu_im < 0:
             raise ValueError("screening parameters must be >= 0")
+        if self.mu_im > self.mu_re:
+            raise ValueError(
+                "screening requires mu_im <= mu_re, got mu_im = %r > mu_re = %r"
+                % (self.mu_im, self.mu_re)
+            )
         if self.variant not in ("classical", "cosine", "sine"):
             raise ValueError("variant must be classical, cosine or sine")
         if self.variant == "classical" and self.mu_im != 0:
             raise ValueError("classical variant requires mu_im = 0")
-
-    @property
-    def mu(self):
-        return complex(self.mu_re, self.mu_im)
 
 
 @dataclass(frozen=True)
@@ -129,18 +137,15 @@ class MorseParams:
 # ---------------------------------------------------------------------------
 # shared kernels
 
-# block width of _lower_gram: wide enough that the Python loop is cheap,
-# narrow enough that few zeros are multiplied inside the diagonal blocks
-_GRAM_BLOCK = 32
 
-
-def _connection_matrix(N, nu, sigma, dtype):
-    """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n.
+def _connection_matrix(N, nu, sigma):
+    """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n, in longdouble.
 
     Built along sub-diagonals from the exact ratio
     C[n, j-1] = C[n, j] * (j+nu) (sigma-1) / (n-j+1),
     seeded by the diagonal C[n, n] = sigma^{-n}.
     """
+    dtype = np.longdouble
     u = dtype(sigma) - 1
     C = np.zeros((N, N), dtype)
     n = np.arange(N)
@@ -151,25 +156,11 @@ def _connection_matrix(N, nu, sigma, dtype):
     return C
 
 
-def _connection_row(n, nu, sigma, length, dtype):
-    """Single row C[n, 0:length] of the connection matrix."""
-    u = dtype(sigma) - 1
-    row = np.zeros(length, dtype)
-    c = dtype(1) / dtype(sigma) ** n
-    if n < length:
-        row[n] = c
-    for j in range(n, 0, -1):
-        c = c * ((j + nu) * u / (n - j + 1))
-        if j - 1 < length:
-            row[j - 1] = c
-    return row
-
-
-def _moment_norms(N, nu, dtype=np.longdouble):
-    """h_j = Gamma(j+nu+1)/j! via the exact cumulative ratio product."""
+def _moment_norms(N, nu):
+    """h_j = Gamma(j+nu+1)/j! via the exact cumulative ratio product, in longdouble."""
     j = np.arange(N - 1)
-    ratios = ((j + nu + 1) / (j + 1)).astype(dtype)
-    return np.cumprod(np.r_[np.ones(1, dtype) * math.gamma(nu + 1), ratios])
+    ratios = ((j + nu + 1) / (j + 1)).astype(np.longdouble)
+    return np.cumprod(np.r_[np.ones(1, np.longdouble) * math.gamma(nu + 1), ratios])
 
 
 def _log_norms(N, nu):
@@ -184,101 +175,71 @@ def _norm_outer(basis):
     return basis.lam * np.exp(loga[:, None] + loga[None, :])
 
 
-def _symmetrize(M):
-    """Make the matrix exactly symmetric (lower triangle authoritative)."""
-    return np.tril(M) + np.tril(M, -1).T
-
-
-def _lower_gram(C, w):
-    """Lower block triangle of (C*w) @ C.T.
-
-    Column block K is (C*w)[k0:, :e] @ C[k0:k1, :e].T, where e is one past
-    the last nonzero column of rows k0:k1 of C: k1 for a lower-triangular C,
-    every column for a dense one.  The columns it leaves out hold exact
-    zeros, and the unblocked extended-precision matmul sums over columns in
-    order, so every entry on or below the diagonal is bit-identical to the
-    full product; for a triangular C that takes about a sixth of its
-    multiply-adds.  The diagonal blocks also carry upper entries; the
-    blocks above them are zero.
-    """
-    N = C.shape[0]
-    Cw = C * w
-    J = np.zeros((N, N), Cw.dtype)
-    for k0 in range(0, N, _GRAM_BLOCK):
-        k1 = min(k0 + _GRAM_BLOCK, N)
-        nonzero = np.flatnonzero(C[k0:k1].any(axis=0))
-        e = nonzero[-1] + 1 if nonzero.size else 0
-        J[k0:, k0:k1] = Cw[k0:, :e] @ C[k0:k1, :e].T
-    return J
-
-
 # ---------------------------------------------------------------------------
 # Yukawa
 
-
-def _check_sigma(sigma):
-    if sigma.real <= 0.5:
-        raise ValueError(
-            "element integral diverges: Re(sigma) = %r <= 1/2" % (sigma.real,)
-        )
+# Gauss nodes beyond the basis size: the rule integrates the degree-2N-2
+# polynomial part exactly and spends the margin on the oscillating factor
+_GAUSS_MARGIN = 64
 
 
-def _yukawa_complex_matrix(p, basis):
-    """Symmetric complex matrix of -(A/r) e^{-mu r}.
-
-    At mu_im = 0 it is built in real extended precision; its imaginary
-    part is then exactly zero.
-    """
+def _yukawa_real_matrix(p, basis):
+    """-(A/r) e^{-mu_re r} by the closed form at real sigma = 1 + mu_re/lam."""
     N, nu = basis.size, basis.nu
-    sigma = 1.0 + p.mu / basis.lam
-    _check_sigma(sigma)
-    if p.mu_im == 0:
-        sigma, dtype = sigma.real, np.longdouble
-    else:
-        dtype = np.clongdouble
-    C = _connection_matrix(N, nu, sigma, dtype)
-    J = _lower_gram(C, _moment_norms(N, nu)) * dtype(sigma) ** (-(nu + 1))
-    return _symmetrize((-p.strength * _norm_outer(basis) * J).astype(complex))
+    sigma = 1.0 + p.mu_re / basis.lam
+    C = _connection_matrix(N, nu, sigma)
+    J = _lower_gram(C, _moment_norms(N, nu)) * np.longdouble(sigma) ** (-(nu + 1))
+    return _symmetrize((-p.strength * _norm_outer(basis) * J).astype(float))
 
 
-def yukawa_element(p, basis, n, m):
-    """Complex element <phi_n| -(A/r) e^{-mu r} |phi_m>.
+def _yukawa_gauss_matrix(p, basis):
+    """Cosine or sine well at mu_im > 0 as the Gauss product (Q*f) @ Q.T.
 
-    For real screening the sum has non-negative terms and is uniformly
-    stable, including the degenerate limit mu -> 0 where it reduces
-    continuously to the Coulomb value -A lam delta_nm.
+    V_nm = int x^nu e^{-s x} p_n p_m f dx with p_n the orthonormal Laguerre
+    functions (sign of L_n^nu), s = 1 + mu_re/lam and f = x V(x/lam),
+    taken on the rule for x^nu e^{-x} scaled to the weight x^nu e^{-s x}.
+    Q_ni = sqrt(w_i) p_n(x_i) comes from the orthonormal three-term
+    recurrence in longdouble; Q Q^T is the Gram matrix of e^{-(s-1) x} <= 1,
+    so no term of the float64 product exceeds the scale of the result.
     """
-    if not (0 <= n < basis.size and 0 <= m < basis.size):
-        raise ValueError("element indices must satisfy 0 <= n, m < basis.size")
-    nu = basis.nu
-    sigma = 1.0 + p.mu / basis.lam
-    _check_sigma(sigma)
-    length = min(n, m) + 1
-    rn = _connection_row(n, nu, sigma, length, np.clongdouble)
-    rm = _connection_row(m, nu, sigma, length, np.clongdouble)
-    h = _moment_norms(length, nu)
-    J = np.sum(rn * rm * h) * np.clongdouble(sigma) ** (-(nu + 1))
-    return complex(-p.strength * basis.norm_coeff(n) * basis.norm_coeff(m) * J)
+    N, nu, lam = basis.size, basis.nu, basis.lam
+    s = np.longdouble(1.0 + p.mu_re / lam)
+    rule = gauss_laguerre_rule(N + _GAUSS_MARGIN, nu)
+    x = rule.nodes / s
+    k = np.arange(N + 1, dtype=np.longdouble)
+    off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
+    Q = np.empty((N, rule.order))
+    prev = np.zeros_like(x)
+    cur = np.exp(0.5 * (rule.log_weights - (nu + 1) * np.log(s) - gammaln(nu + 1.0)))
+    for n in range(N):
+        Q[n] = cur
+        # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
+        prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
+    phase = (p.mu_im / lam) * x
+    f = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
+    Qf = Q * (p.strength * lam * f).astype(float)
+    # scipy's BLAS rather than numpy's matmul: the pencil solve runs on
+    # scipy's LAPACK, and alternating between the two libraries' BLAS thread
+    # pools costs more than the product (about 7 ms per N=100 solve on two
+    # cores).  The transposes are Fortran-ordered views, so nothing is copied.
+    return _symmetrize(dgemm(1.0, Qf.T, Q.T, trans_a=1))
 
 
 def yukawa_matrix(p, basis):
-    """Real symmetric potential matrix for the chosen Yukawa variant."""
-    Vc = _yukawa_complex_matrix(p, basis)
-    return (Vc.imag if p.variant == "sine" else Vc.real).copy()
+    """Real symmetric potential matrix for the chosen Yukawa variant.
+
+    At mu_im = 0 the cosine well is the classical one and the sine well
+    vanishes; both are then exact.
+    """
+    if p.mu_im == 0:
+        if p.variant == "sine":
+            return np.zeros((basis.size, basis.size))
+        return _yukawa_real_matrix(p, basis)
+    return _yukawa_gauss_matrix(p, basis)
 
 
 # ---------------------------------------------------------------------------
 # exponential kernel and Morse
-
-
-def exp_element(c, basis, n, m):
-    """Element <phi_n| e^{-c r} |phi_m> for c >= 0 (overlap element at c=0)."""
-    if c < 0:
-        raise ValueError("exp_element requires c >= 0")
-    if not (0 <= n < basis.size and 0 <= m < basis.size):
-        raise ValueError("element indices must satisfy 0 <= n, m < basis.size")
-    M = exp_matrix(c, basis.with_size(max(n, m) + 1))
-    return float(M[n, m])
 
 
 def _exp_kernel(c, basis):
@@ -291,7 +252,7 @@ def _exp_kernel(c, basis):
     """
     N, nu = basis.size, basis.nu
     sigma = 1.0 + c / basis.lam
-    C = _connection_matrix(N, nu + 1, sigma, np.longdouble)
+    C = _connection_matrix(N, nu + 1, sigma)
     # symmetrize first: the differences read the upper triangle too
     P = _symmetrize(_lower_gram(C, _moment_norms(N, nu + 1)))
     P[1:] -= P[:-1]

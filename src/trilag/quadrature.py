@@ -10,17 +10,19 @@ evaluated in log space with an overflow-scaled recurrence, because the
 eigenvector-based weights lose all relative accuracy for the tiny weights
 in the far tail.  Weights are stored in extended precision so every one of
 them is positive and nonzero up to order ~600.
+
+Besides the oracle, the rules assemble the cosine- and sine-screened Yukawa
+matrices (potentials), and the triangular Gram product _lower_gram serves
+both the oracle and the closed-form kernels.
 """
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .potentials import _lower_gram, _symmetrize
 from .specfun import laguerre_seq
 
 __all__ = ["QuadRule", "gauss_laguerre_rule", "quad_matrix_element", "quad_potential_matrix"]
@@ -39,6 +41,39 @@ class QuadRule:
     def integrate(self, f_values):
         """Sum w_i f(x_i) for precomputed integrand values at the nodes."""
         return float(np.sum(self.weights * np.asarray(f_values, dtype=np.longdouble)))
+
+
+# block width of _lower_gram: wide enough that the Python loop is cheap,
+# narrow enough that few zeros are multiplied inside the diagonal blocks
+_GRAM_BLOCK = 32
+
+
+def _symmetrize(M):
+    """Make the matrix exactly symmetric (lower triangle authoritative)."""
+    return np.tril(M) + np.tril(M, -1).T
+
+
+def _lower_gram(C, w):
+    """Lower block triangle of (C*w) @ C.T.
+
+    Column block K is (C*w)[k0:, :e] @ C[k0:k1, :e].T, where e is one past
+    the last nonzero column of rows k0:k1 of C: k1 for a lower-triangular C,
+    every column for a dense one.  The columns it leaves out hold exact
+    zeros, and the unblocked extended-precision matmul sums over columns in
+    order, so every entry on or below the diagonal is bit-identical to the
+    full product; for a triangular C that takes about a sixth of its
+    multiply-adds.  The diagonal blocks also carry upper entries; the
+    blocks above them are zero.
+    """
+    N = C.shape[0]
+    Cw = C * w
+    J = np.zeros((N, N), Cw.dtype)
+    for k0 in range(0, N, _GRAM_BLOCK):
+        k1 = min(k0 + _GRAM_BLOCK, N)
+        nonzero = np.flatnonzero(C[k0:k1].any(axis=0))
+        e = nonzero[-1] + 1 if nonzero.size else 0
+        J[k0:, k0:k1] = Cw[k0:, :e] @ C[k0:k1, :e].T
+    return J
 
 
 _rule_cache = {}
@@ -116,7 +151,7 @@ def gauss_laguerre_rule(order, nu):
 def default_oracle_order(basis, n, m):
     """Default rule order for validating an (n, m) element.
 
-    The analytic-element integrands are weight times an entire function,
+    The element integrands are weight times an entire function,
     so the Gauss error decays geometrically; the margin covers slowly
     decaying exponents.
     """

@@ -49,7 +49,7 @@ GUARD_FRACTION = 0.5
 
 
 def potential_matrix(potential, basis):
-    """Analytic potential matrix for any of the three families."""
+    """Potential matrix for any of the three families."""
     if isinstance(potential, YukawaParams):
         return yukawa_matrix(potential, basis)
     if isinstance(potential, KratzerParams):
@@ -213,7 +213,7 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
 
 def _with_delta(p, delta):
     """Yukawa template with the screening set to delta (both parts for the
-    complex-screened variants)."""
+    cosine and sine variants)."""
     if p.variant == "classical":
         return replace(p, mu_re=float(delta), mu_im=0.0)
     return replace(p, mu_re=float(delta), mu_im=float(delta))

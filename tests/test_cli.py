@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trilag import _golden
 from trilag.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -84,6 +85,24 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "--delta" in err and mu in err
 
+    @pytest.mark.parametrize("N", ["400", "350"])
+    def test_cosine_ground_level_at_large_basis(self, capsys, N):
+        # the ground level and nothing below it or beside it: an assembly
+        # that cancels at large N adds levels far below the Coulomb bound
+        code, out, _ = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
+                           "--lambda", "1", "--N", N, "--k", "2")
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 1
+        assert float(rows[0][1]) == pytest.approx(-_golden.TABLE1[0.5][0], abs=1e-9)
+
+    def test_mu_im_above_mu_re_is_config_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--potential", "yukawa-cos", "--mu-re", "0",
+                             "--mu-im", "1", "--N", "50")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "mu_im <= mu_re" in err
+
     def test_non_finite_lambda_is_config_error(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "yukawa-cos", "--delta", "0.5",
                            "--lambda", "nan")
@@ -153,6 +172,15 @@ class TestValidate:
                            "--delta", "0.5", "--ell", "0", "--lambda", "2",
                            "--limit", "40", "--order", "300")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("delta", ["0.01", "0.5", "2", "9"])
+    @pytest.mark.parametrize("N", [200, 300])
+    @pytest.mark.parametrize("potential", ["yukawa-cos", "yukawa-sin"])
+    def test_screened_full_block(self, capsys, potential, N, delta):
+        # every element the solver uses at this N, not only a leading block
+        code, out, _ = run(capsys, "validate", "--potential", potential, "--delta", delta,
+                           "--lambda", "1", "--limit", str(N - 1), "--order", str(2 * N + 250))
+        assert code == EXIT_OK, out
 
     def test_zero_potential_zero_deviation(self, capsys):
         code, out, _ = run(capsys, "validate", "--potential", "morse", "--V0", "0",
