@@ -3,7 +3,8 @@
 Output is CSV with a '#'-prefixed header comment carrying the full
 parameter echo; identical configurations produce byte-identical output.
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure,
-4 validation/regression failure.
+4 validation/regression failure, including a printed solve level that the
+truncation guard flags as suspect.
 """
 
 import argparse
@@ -174,8 +175,11 @@ def cmd_solve(cfg):
     buf.write("level,energy,N,lambda\n")
     for i, e in enumerate(levels):
         buf.write("%d,%s,%d,%s\n" % (i, _fmt(e), basis.size, _fmt(basis.lam)))
+    for name, flagged in (("suspect", result.suspect), ("unresolved", result.unresolved)):
+        if flagged:
+            buf.write("# %s levels: %s\n" % (name, " ".join(map(str, flagged))))
     _write_out(cfg, buf.getvalue())
-    return EXIT_OK
+    return EXIT_VALIDATION if any(i < len(levels) for i in result.suspect) else EXIT_OK
 
 
 def cmd_scan(cfg):

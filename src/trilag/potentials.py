@@ -17,16 +17,28 @@ identity
 
 so that J_nm = sigma^{-(nu+1)} sum_j C[n,j] C[m,j] h_j with
 h_j = Gamma(j+nu+1)/j! and C[n,j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n.
-Every term is non-negative, so there is no cancellation and the evaluation
-stays accurate for large n, m and large screening, where the textbook
-hypergeometric form loses all precision.  The connection coefficients and
-the moment norms are built by exact ratio recurrences (no gamma-function
-round-off) in longdouble.  C is lower triangular, so the product
-(C*h) @ C.T is taken over its nonzero prefix only (quadrature._lower_gram).
-The exponential kernel weighs its moments with one more power of x; it is
-written J1 = sigma^{-(nu+2)} E P E^T, with P the same moment sum at nu+1 and
-E the bidiagonal map L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1}, so it also needs
-only one triangular product.
+The basis norms a_n a_m = lam / sqrt(h_n h_m) fold into the normalized
+connection matrix C^[n,j] = sigma^{-(nu+1)/2} C[n,j] sqrt(h_j/h_n), lower
+triangular and non-negative with sum_j C^[n,j]^2 <= 1 (the diagonal of the
+Gram matrix of e^{-(sigma-1) x} <= 1), and the classical Yukawa is
+V = -A lam C^ C^T.  Every term of that product is non-negative, so even in
+float64 each element has a relative error of at most about N eps (Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 4.2), for large n, m
+and large screening alike, where the textbook hypergeometric form loses
+all precision.  An entry of C^ that underflows in float64 changes no
+element by more than ~1e-308.
+
+The exponential kernel weighs its moments with one more power of x.  With
+L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is exp_matrix = B B^T, B = L_S C^',
+where C^' is the normalized connection matrix at nu+1 and L_S the
+closed-form bidiagonal factor of the overlap S = L_S L_S^T (at sigma = 1,
+C^' = I and the kernel is S); no gamma-function norms enter.  B has
+entries of both signs, so the kernel K = B B^T is accurate to about N eps
+relative to sqrt(K_nn K_mm), not elementwise.  Morse accumulates its two
+kernels into one lower triangle.
+
+Extended precision is used only in the O(N^2) build of C^ and B, by exact
+ratio recurrences in longdouble; every O(N^3) step is a float64 dsyrk.
 
 The cosine and sine wells -(A/r) cos(mu_im r) e^{-mu_re r} and
 +(A/r) sin(mu_im r) e^{-mu_re r} have no such cancellation-free form: the
@@ -45,10 +57,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg import toeplitz
+from scipy.linalg.blas import dgemm, dsyrk
 from scipy.special import gammaln
 
-from .quadrature import _lower_gram, _symmetrize, gauss_laguerre_rule
+from .quadrature import _symmetrize, gauss_laguerre_rule
 
 __all__ = [
     "YukawaParams",
@@ -138,41 +151,27 @@ class MorseParams:
 # shared kernels
 
 
-def _connection_matrix(N, nu, sigma):
-    """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n, in longdouble.
+def _normalized_connection(N, nu, sigma):
+    """C^[n, j] = sigma^{-(nu+1)/2} C[n, j] sqrt(h_j/h_n) for j <= n, in longdouble.
 
-    Built along sub-diagonals from the exact ratio
-    C[n, j-1] = C[n, j] * (j+nu) (sigma-1) / (n-j+1),
-    seeded by the diagonal C[n, n] = sigma^{-n}.
+    The diagonal is sigma^{-j-(nu+1)/2}, and down each column
+    C^[n, j] = C^[n-1, j] ((sigma-1)/sigma) sqrt(n (n+nu)) / (n-j), so one
+    cumulative product along axis 0 builds it.
     """
-    dtype = np.longdouble
-    u = dtype(sigma) - 1
-    C = np.zeros((N, N), dtype)
-    n = np.arange(N)
-    C[n, n] = np.cumprod(np.r_[np.ones(1, dtype), np.full(N - 1, dtype(1) / dtype(sigma))])
-    for d in range(1, N):
-        rows = np.arange(d, N)
-        C[rows, rows - d] = C[rows, rows - d + 1] * ((rows - d + nu + 1) * u / d)
-    return C
-
-
-def _moment_norms(N, nu):
-    """h_j = Gamma(j+nu+1)/j! via the exact cumulative ratio product, in longdouble."""
-    j = np.arange(N - 1)
-    ratios = ((j + nu + 1) / (j + 1)).astype(np.longdouble)
-    return np.cumprod(np.r_[np.ones(1, np.longdouble) * math.gamma(nu + 1), ratios])
+    s = np.longdouble(sigma)
+    k = np.arange(N, dtype=np.longdouble)
+    # 1/(n-j) below the diagonal, ones on and above it
+    R = toeplitz(np.r_[1, 1 / k[1:]], np.ones(N, np.longdouble))
+    np.multiply(R, ((s - 1) / s * np.sqrt(k * (k + nu)))[:, None], out=R,
+                where=np.tri(N, k=-1, dtype=bool))
+    R[np.diag_indices(N)] = s ** -(k + (nu + 1) / 2)
+    return np.tril(np.cumprod(R, axis=0, out=R))
 
 
 def _log_norms(N, nu):
     """log(a_n / sqrt(lam)) = (log n! - log Gamma(n+nu+1)) / 2."""
     n = np.arange(N)
     return 0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0))
-
-
-def _norm_outer(basis):
-    """Matrix of products a_n a_m, evaluated in log space."""
-    loga = _log_norms(basis.size, basis.nu)
-    return basis.lam * np.exp(loga[:, None] + loga[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +183,13 @@ _GAUSS_MARGIN = 64
 
 
 def _yukawa_real_matrix(p, basis):
-    """-(A/r) e^{-mu_re r} by the closed form at real sigma = 1 + mu_re/lam."""
-    N, nu = basis.size, basis.nu
-    sigma = 1.0 + p.mu_re / basis.lam
-    C = _connection_matrix(N, nu, sigma)
-    J = _lower_gram(C, _moment_norms(N, nu)) * np.longdouble(sigma) ** (-(nu + 1))
-    return _symmetrize((-p.strength * _norm_outer(basis) * J).astype(float))
+    """-(A/r) e^{-mu_re r} = -A lam C^ C^T at real sigma = 1 + mu_re/lam."""
+    C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam)
+    # scipy's BLAS rather than numpy's matmul: the pencil solve runs on
+    # scipy's LAPACK, and alternating between the two libraries' BLAS thread
+    # pools costs more than the product (about 7 ms per N=100 solve on two
+    # cores).  C.T is a Fortran-ordered view, so dsyrk copies nothing.
+    return _symmetrize(dsyrk(-p.strength * basis.lam, C.astype(float).T, trans=1, lower=1))
 
 
 def _yukawa_gauss_matrix(p, basis):
@@ -218,10 +218,7 @@ def _yukawa_gauss_matrix(p, basis):
     phase = (p.mu_im / lam) * x
     f = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
     Qf = Q * (p.strength * lam * f).astype(float)
-    # scipy's BLAS rather than numpy's matmul: the pencil solve runs on
-    # scipy's LAPACK, and alternating between the two libraries' BLAS thread
-    # pools costs more than the product (about 7 ms per N=100 solve on two
-    # cores).  The transposes are Fortran-ordered views, so nothing is copied.
+    # scipy's BLAS, on Fortran-ordered views, as in _yukawa_real_matrix
     return _symmetrize(dgemm(1.0, Qf.T, Q.T, trans_a=1))
 
 
@@ -242,30 +239,27 @@ def yukawa_matrix(p, basis):
 # exponential kernel and Morse
 
 
-def _exp_kernel(c, basis):
-    """Extended-precision J1 integrals behind exp_matrix (no norm factors).
+def _exp_factor(c, basis):
+    """B with exp_matrix(c) = B B^T, as a float64 Fortran-ordered B^T.
 
-    The extra power of x from the 2D volume element is taken into the
-    weight: J1 = sigma^{-(nu+2)} E P E^T, where P is the moment sum at
-    nu+1 and E the bidiagonal map L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1},
-    applied as differences of adjacent rows, then of adjacent columns.
+    B = L_S C^' with C^' the normalized connection matrix at nu+1 and L_S
+    the overlap's closed-form bidiagonal factor, L[m, m] = sqrt(m+nu+1),
+    L[m+1, m] = -sqrt(m+1) (as in solver._tail_fractions).  Formed in
+    longdouble, O(N^2), before the cast.
     """
     N, nu = basis.size, basis.nu
-    sigma = 1.0 + c / basis.lam
-    C = _connection_matrix(N, nu + 1, sigma)
-    # symmetrize first: the differences read the upper triangle too
-    P = _symmetrize(_lower_gram(C, _moment_norms(N, nu + 1)))
-    P[1:] -= P[:-1]
-    P[:, 1:] -= P[:, :-1]
-    return P * np.longdouble(sigma) ** (-(nu + 2))
+    C = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
+    k = np.arange(N, dtype=np.longdouble)[:, None]
+    B = np.sqrt(k + nu + 1) * C
+    B[1:] -= np.sqrt(k[1:]) * C[:-1]
+    return B.astype(float).T
 
 
 def exp_matrix(c, basis):
     """Full matrix of <phi_n| e^{-c r} |phi_m>."""
     if c < 0:
         raise ValueError("exp_matrix requires c >= 0")
-    J1 = _exp_kernel(c, basis)
-    return _symmetrize((_norm_outer(basis) / basis.lam * J1).astype(float))
+    return _symmetrize(dsyrk(1.0, _exp_factor(c, basis), trans=1, lower=1))
 
 
 def morse_matrix(p, basis):
@@ -273,14 +267,14 @@ def morse_matrix(p, basis):
 
     Composed directly from the two exponential kernels of the potential,
     depth e^{2w} exp(-2w r/r_eq) - 2 beta depth e^{w} exp(-w r/r_eq),
-    so the relative sign of the two wells cannot be misassembled.
+    so the relative sign of the two wells cannot be misassembled; the
+    second dsyrk accumulates into the first one's lower triangle.
     """
     w = p.width
-    # combine the two kernels before dropping precision: near-threshold
-    # elements arise from cancellation between the two wells
-    J = np.longdouble(p.depth) * np.exp(np.longdouble(2 * w)) * _exp_kernel(2 * w / p.r_eq, basis)
-    J -= 2 * np.longdouble(p.beta * p.depth) * np.exp(np.longdouble(w)) * _exp_kernel(w / p.r_eq, basis)
-    return _symmetrize((_norm_outer(basis) / basis.lam * J).astype(float))
+    V = dsyrk(p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis), trans=1, lower=1)
+    V = dsyrk(-2 * p.beta * p.depth * np.exp(w), _exp_factor(w / p.r_eq, basis),
+              beta=1.0, c=V, trans=1, lower=1, overwrite_c=1)
+    return _symmetrize(V)
 
 
 # ---------------------------------------------------------------------------

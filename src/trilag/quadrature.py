@@ -12,8 +12,9 @@ in the far tail.  Weights are stored in extended precision so every one of
 them is positive and nonzero up to order ~600.
 
 Besides the oracle, the rules assemble the cosine- and sine-screened Yukawa
-matrices (potentials), and the triangular Gram product _lower_gram serves
-both the oracle and the closed-form kernels.
+matrices (potentials).  The extended-precision Gram product _lower_gram
+serves the oracle only; the closed-form kernels in potentials are float64
+BLAS products.
 """
 
 import threading

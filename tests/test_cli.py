@@ -52,6 +52,19 @@ class TestSolve:
         got = [-float(r[1]) for r in rows]
         np.testing.assert_allclose(got, want, atol=1e-10)
 
+    # the truncation guard's pinned Morse cases (tests/test_solver.py)
+    @pytest.mark.parametrize("lam,size,extra,flagged,code", [
+        ("0.2", "20", [], "0", EXIT_VALIDATION),
+        # level 1 is suspect but not printed
+        ("0.05", "100", ["--k", "1"], "1", EXIT_OK),
+    ])
+    def test_suspect_levels_reported(self, capsys, lam, size, extra, flagged, code):
+        got, out, _ = run(capsys, "solve", "--potential", "morse", "--V0", "-6", "--r0", "4",
+                          "--width", "1.5", "--beta", "0.8", "--ell", "1",
+                          "--lambda", lam, "--N", size, *extra)
+        assert got == code
+        assert out.endswith("# suspect levels: %s\n" % flagged)
+
     def test_kratzer_ell_zero_is_config_error(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "kratzer", "--A", "1",
                            "--B", "50", "--ell", "0")

@@ -8,9 +8,6 @@ from trilag.potentials import (
     KratzerParams,
     MorseParams,
     YukawaParams,
-    _connection_matrix,
-    _exp_kernel,
-    _moment_norms,
     exp_matrix,
     kratzer_matrix,
     morse_matrix,
@@ -18,7 +15,7 @@ from trilag.potentials import (
     radial_function,
     yukawa_matrix,
 )
-from trilag.quadrature import _lower_gram, quad_potential_matrix
+from trilag.quadrature import _lower_gram, _symmetrize, quad_potential_matrix
 
 
 def oracle_deviation(analytic, params, basis, order=300):
@@ -102,6 +99,43 @@ class TestLowerGram:
         assert np.array_equal(np.tril(J), np.tril((L * g) @ L.T))
 
 
+def connection_reference(N, nu, sigma):
+    """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n, in longdouble.
+
+    Built along sub-diagonals from the exact ratio
+    C[n, j-1] = C[n, j] (j+nu) (sigma-1) / (n-j+1), seeded by the diagonal
+    C[n, n] = sigma^{-n}; independent of the column recurrence of the
+    normalized connection matrix the assembly uses.
+    """
+    dtype = np.longdouble
+    u = dtype(sigma) - 1
+    C = np.zeros((N, N), dtype)
+    n = np.arange(N)
+    C[n, n] = np.cumprod(np.r_[np.ones(1, dtype), np.full(N - 1, dtype(1) / dtype(sigma))])
+    for d in range(1, N):
+        rows = np.arange(d, N)
+        C[rows, rows - d] = C[rows, rows - d + 1] * ((rows - d + nu + 1) * u / d)
+    return C
+
+
+def moment_norms(N, nu):
+    """h_j = Gamma(j+nu+1)/j! by the exact cumulative ratio product, in longdouble."""
+    j = np.arange(N - 1)
+    ratios = ((j + nu + 1) / (j + 1)).astype(np.longdouble)
+    return np.cumprod(np.r_[np.ones(1, np.longdouble) * math.gamma(nu + 1), ratios])
+
+
+def classical_reference(p, basis):
+    """-(A/r) e^{-mu_re r} as -A lam sigma^{-(nu+1)} (C h C^T)_nm / sqrt(h_n h_m),
+    all in longdouble with the exact moment norms."""
+    N, nu = basis.size, basis.nu
+    sigma = 1.0 + p.mu_re / basis.lam
+    h = moment_norms(N, nu)
+    J = _symmetrize(_lower_gram(connection_reference(N, nu, sigma), h))
+    r = 1 / np.sqrt(h)
+    return -p.strength * basis.lam * np.longdouble(sigma) ** (-(nu + 1)) * J * np.outer(r, r)
+
+
 def complex_closed_form(p, basis):
     """-(A/r) e^{-mu r} at complex mu by the connection sum in clongdouble.
 
@@ -116,7 +150,7 @@ def complex_closed_form(p, basis):
         C[n, n] = sigma ** -n
         for j in range(n, 0, -1):
             C[n, j - 1] = C[n, j] * (j + nu) * (sigma - 1) / (n - j + 1)
-    J = (C * _moment_norms(N, nu)) @ C.T * sigma ** (-(nu + 1))
+    J = (C * moment_norms(N, nu)) @ C.T * sigma ** (-(nu + 1))
     a = np.array([basis.norm_coeff(n) for n in range(N)])
     return (-p.strength * np.outer(a, a) * J).astype(complex)
 
@@ -204,6 +238,28 @@ class TestYukawaMatrix:
         assert oracle_deviation(yukawa_matrix(p, b), p, b) < 1e-11
 
 
+class TestClassicalYukawa:
+    @pytest.mark.parametrize("mu,lam", [(0.5, 2.0), (9.0, 1.0), (1000.0, 0.05), (0.05, 20.0)])
+    @pytest.mark.parametrize("ell", [0, 1, 3])
+    @pytest.mark.parametrize("N", [150, 400])
+    def test_elementwise_against_longdouble_reference(self, N, ell, mu, lam):
+        # a sum of non-negative terms: accurate elementwise, not just
+        # relative to the largest element, and never positive
+        p = YukawaParams(strength=1.3, mu_re=mu)
+        b = BasisSpec(lam=lam, ell=ell, size=N)
+        V = yukawa_matrix(p, b)
+        ref = classical_reference(p, b)
+        big = np.abs(ref) > 1e-200
+        assert float(np.max(np.abs(V[big] - ref[big]) / np.abs(ref[big]))) <= 1e-14
+        assert (V <= 0).all()
+
+    @pytest.mark.parametrize("ell", [0, 1, 3])
+    def test_coulomb_limit_bit_exact(self, ell):
+        A, lam = 1.7, 2.3
+        V = yukawa_matrix(YukawaParams(A, 0.0), BasisSpec(lam=lam, ell=ell, size=60))
+        np.testing.assert_array_equal(V, -A * lam * np.eye(60))
+
+
 class TestExpElement:
     def test_zero_exponent_is_overlap(self):
         b = BasisSpec(lam=1.3, ell=1, size=12)
@@ -233,8 +289,8 @@ def _exp_kernel_reference(c, basis):
     adjacent connection columns, as two dense products."""
     N, nu = basis.size, basis.nu
     sigma = 1.0 + c / basis.lam
-    C = _connection_matrix(N, nu, sigma)
-    h = _moment_norms(N, nu)
+    C = connection_reference(N, nu, sigma)
+    h = moment_norms(N, nu)
     j = np.arange(N)
     M = (C * ((2 * j + nu + 1) * h)) @ C.T
     X = (C[:, :-1] * ((j[:-1] + nu + 1) * h[:-1])) @ C[:, 1:].T
@@ -242,16 +298,23 @@ def _exp_kernel_reference(c, basis):
 
 
 class TestExpKernel:
+    @staticmethod
+    def gram_deviation(c, basis):
+        # |dK_nm| relative to sqrt(K_nn K_mm): K is a Gram matrix, so this
+        # bounds every element by the scale of its row and column
+        h = moment_norms(basis.size, basis.nu)
+        ref = _exp_kernel_reference(c, basis) / np.sqrt(np.outer(h, h))
+        d = np.sqrt(np.diag(ref))
+        return float(np.max(np.abs(exp_matrix(c, basis) - ref) / np.outer(d, d)))
+
     @pytest.mark.parametrize("c", [0.3, 1.5, 4.0])
     @pytest.mark.parametrize("ell", [0, 1, 5])
     def test_matches_recurrence_form(self, ell, c):
-        # |dJ_nm| relative to sqrt(J_nn J_mm): J is a Gram matrix, so this
-        # bounds every element by the scale of its row and column
-        b = BasisSpec(lam=1.0, ell=ell, size=150)
-        ref = _exp_kernel_reference(c, b)
-        got = _exp_kernel(c, b)
-        d = np.sqrt(np.diag(ref))
-        assert float(np.max(np.abs(np.tril(got - ref)) / np.outer(d, d))) <= 1e-13
+        assert self.gram_deviation(c, BasisSpec(lam=1.0, ell=ell, size=150)) <= 1e-13
+
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_matches_recurrence_form_large_basis(self, ell):
+        assert self.gram_deviation(1.5, BasisSpec(lam=1.0, ell=ell, size=400)) <= 1e-13
 
 
 class TestMorse:
