@@ -165,7 +165,9 @@ def _normalized_connection(N, nu, sigma):
     np.multiply(R, ((s - 1) / s * np.sqrt(k * (k + nu)))[:, None], out=R,
                 where=np.tri(N, k=-1, dtype=bool))
     R[np.diag_indices(N)] = s ** -(k + (nu + 1) / 2)
-    return np.tril(np.cumprod(R, axis=0, out=R))
+    np.cumprod(R, axis=0, out=R)
+    np.copyto(R, 0, where=~np.tri(N, dtype=bool))  # the ones above the diagonal
+    return R
 
 
 def _log_norms(N, nu):
@@ -185,10 +187,9 @@ _GAUSS_MARGIN = 64
 def _yukawa_real_matrix(p, basis):
     """-(A/r) e^{-mu_re r} = -A lam C^ C^T at real sigma = 1 + mu_re/lam."""
     C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam)
-    # scipy's BLAS rather than numpy's matmul: the pencil solve runs on
-    # scipy's LAPACK, and alternating between the two libraries' BLAS thread
-    # pools costs more than the product (about 7 ms per N=100 solve on two
-    # cores).  C.T is a Fortran-ordered view, so dsyrk copies nothing.
+    # scipy's BLAS, not numpy's matmul: the pencil solve runs on scipy's LAPACK, and
+    # switching between the two libraries' thread pools costs more than the product
+    # (about 7 ms per N=100 solve on two cores).  C.T is Fortran-ordered: no copy.
     return _symmetrize(dsyrk(-p.strength * basis.lam, C.astype(float).T, trans=1, lower=1))
 
 
@@ -242,17 +243,17 @@ def yukawa_matrix(p, basis):
 def _exp_factor(c, basis):
     """B with exp_matrix(c) = B B^T, as a float64 Fortran-ordered B^T.
 
-    B = L_S C^' with C^' the normalized connection matrix at nu+1 and L_S
-    the overlap's closed-form bidiagonal factor, L[m, m] = sqrt(m+nu+1),
-    L[m+1, m] = -sqrt(m+1) (as in solver._tail_fractions).  Formed in
-    longdouble, O(N^2), before the cast.
+    B = L_S C^', C^' the normalized connection matrix at nu+1 and L_S the overlap's
+    bidiagonal factor L[m, m] = sqrt(m+nu+1), L[m+1, m] = -sqrt(m+1) (as in
+    solver._tail_fractions); formed in longdouble, in place, before the cast.
     """
     N, nu = basis.size, basis.nu
     C = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
     k = np.arange(N, dtype=np.longdouble)[:, None]
-    B = np.sqrt(k + nu + 1) * C
-    B[1:] -= np.sqrt(k[1:]) * C[:-1]
-    return B.astype(float).T
+    lower = np.sqrt(k[1:]) * C[:-1]
+    C *= np.sqrt(k + nu + 1)
+    C[1:] -= lower
+    return C.astype(float).T
 
 
 def exp_matrix(c, basis):

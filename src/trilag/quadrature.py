@@ -45,7 +45,7 @@ class QuadRule:
 
 
 # block width of _lower_gram: wide enough that the Python loop is cheap,
-# narrow enough that few zeros are multiplied inside the diagonal blocks
+# narrow enough that a weighted row block stays small
 _GRAM_BLOCK = 32
 
 
@@ -57,23 +57,22 @@ def _symmetrize(M):
 def _lower_gram(C, w):
     """Lower block triangle of (C*w) @ C.T.
 
-    Column block K is (C*w)[k0:, :e] @ C[k0:k1, :e].T, where e is one past
+    Row block K is (C*w)[k0:k1, :e] @ C[:k1, :e].T, where e is one past
     the last nonzero column of rows k0:k1 of C: k1 for a lower-triangular C,
     every column for a dense one.  The columns it leaves out hold exact
     zeros, and the unblocked extended-precision matmul sums over columns in
     order, so every entry on or below the diagonal is bit-identical to the
-    full product; for a triangular C that takes about a sixth of its
-    multiply-adds.  The diagonal blocks also carry upper entries; the
-    blocks above them are zero.
+    full product.  Weighting one row block at a time keeps no weighted copy
+    of C, the largest array of a validate run for the oracle's dense table.
+    Diagonal blocks also carry upper entries; blocks right of them are zero.
     """
     N = C.shape[0]
-    Cw = C * w
-    J = np.zeros((N, N), Cw.dtype)
+    J = np.zeros((N, N), np.result_type(C, w))
     for k0 in range(0, N, _GRAM_BLOCK):
         k1 = min(k0 + _GRAM_BLOCK, N)
         nonzero = np.flatnonzero(C[k0:k1].any(axis=0))
         e = nonzero[-1] + 1 if nonzero.size else 0
-        J[k0:, k0:k1] = Cw[k0:, :e] @ C[k0:k1, :e].T
+        J[k0:k1, :k1] = (C[k0:k1, :e] * w[:e]) @ C[:k1, :e].T
     return J
 
 
@@ -225,5 +224,6 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     # roundoff from the large ones
     g = rule.weights * xl ** (2 * basis.alpha - weight_nu) * np.asarray(vals, np.longdouble)
     a = np.array([basis.norm_coeff(k) for k in range(N)])
-    M = _symmetrize(_lower_gram(L, g))
-    return (np.outer(a, a) / basis.lam) * M.astype(float)
+    # mirrored after the cast, which copies entries exactly
+    M = _symmetrize(_lower_gram(L, g).astype(float))
+    return (np.outer(a, a) / basis.lam) * M

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trilag._golden import TABLE3, TABLE3_LAM
 from trilag.basis import BasisSpec, overlap_matrix
 from trilag.potentials import (
     KratzerParams,
@@ -307,14 +308,11 @@ class TestExpKernel:
         d = np.sqrt(np.diag(ref))
         return float(np.max(np.abs(exp_matrix(c, basis) - ref) / np.outer(d, d)))
 
-    @pytest.mark.parametrize("c", [0.3, 1.5, 4.0])
+    @pytest.mark.parametrize("N,c", [pytest.param(150, c, id=str(c)) for c in (0.3, 1.5, 4.0)]
+                             + [pytest.param(400, 1.5, id="N400-1.5")])
     @pytest.mark.parametrize("ell", [0, 1, 5])
-    def test_matches_recurrence_form(self, ell, c):
-        assert self.gram_deviation(c, BasisSpec(lam=1.0, ell=ell, size=150)) <= 1e-13
-
-    @pytest.mark.parametrize("ell", [0, 1, 5])
-    def test_matches_recurrence_form_large_basis(self, ell):
-        assert self.gram_deviation(1.5, BasisSpec(lam=1.0, ell=ell, size=400)) <= 1e-13
+    def test_matches_recurrence_form(self, ell, N, c):
+        assert self.gram_deviation(c, BasisSpec(lam=1.0, ell=ell, size=N)) <= 1e-13
 
 
 class TestMorse:
@@ -338,6 +336,23 @@ class TestMorse:
         p = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8)
         b = BasisSpec(lam=6.0, ell=1, size=200)
         assert oracle_deviation(morse_matrix(p, b), p, b, order=450) < 1e-11
+
+    @pytest.mark.parametrize("ell,r0,width,depth", [key for key, _ in TABLE3])
+    def test_matches_longdouble_combination(self, ell, r0, width, depth):
+        # both wells from the longdouble reference, combined before rounding;
+        # |dV_nm| relative to the sum of the two wells' Gram scales, since
+        # near-threshold elements are differences of the two
+        p = MorseParams(depth=depth, r_eq=r0, width=width, beta=1.2)
+        b = BasisSpec(lam=TABLE3_LAM, ell=ell, size=400)
+        r = 1 / np.sqrt(moment_norms(b.size, b.nu))
+        ref, scale = 0, 0
+        for coeff, c in [(depth * math.exp(2 * width), 2 * width / r0),
+                         (-2 * p.beta * depth * math.exp(width), width / r0)]:
+            K = _exp_kernel_reference(c, b) * np.outer(r, r)
+            ref = ref + np.longdouble(coeff) * K
+            d = np.sqrt(np.diag(K))
+            scale = scale + abs(coeff) * np.outer(d, d)
+        assert float(np.max(np.abs(morse_matrix(p, b) - ref) / scale)) <= 1e-14
 
 
 class TestKratzer:

@@ -3,16 +3,16 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 7
-    python3 tools/bench_pairs.py --parent main --pr 8 --seeds 1,2,3 --workloads dense_spectra
 
 The parent commit is checked out into a temporary git worktree, which is
 removed when the script ends; the change is this checkout's working tree.
-For every seed and workload the script runs `perfbench/run.py --trace 0`
-once on each side, at the run length BENCHMARK.json sets, and alternates
-which side goes first from one pair to the next.  The file it writes holds,
-per workload and end-to-end metric, every run on both sides, their medians
-and quartiles, and the number of pairs the change won (ties count for
-neither), plus the attempted and failed operation counts of each side.
+For every seed from 1 to 10 and every workload in BENCHMARK.json the script
+runs `perfbench/run.py --trace 0` once on each side, at the run length
+BENCHMARK.json sets, and alternates which side goes first from one pair to
+the next.  The file it writes holds, per workload and end-to-end metric,
+every run on both sides, their medians and quartiles, and the number of
+pairs the change won (ties count for neither), plus the attempted and
+failed operation counts of each side.
 """
 
 import argparse
@@ -26,6 +26,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ten pairs per workload, the fewest from which a gain may be claimed
+SEEDS = range(1, 11)
 
 
 def git(*args):
@@ -77,20 +79,11 @@ def summarise(pairs, better):
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    names = [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent commit")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10",
-                    help="comma-separated workload seeds, one pair each")
-    ap.add_argument("--workloads", default=",".join(names),
-                    help="comma-separated subset of BENCHMARK.json's workloads")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(names)
-    if unknown:
-        ap.error("unknown workloads: %s" % ", ".join(sorted(unknown)))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
 
@@ -100,7 +93,7 @@ def main(argv=None):
     git("worktree", "add", "--detach", tree, parent)
     pairs = {w: [] for w in workloads}
     try:
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             for workload in workloads:
                 sides = {}
                 order = [("parent", tree), ("change", ROOT)]
@@ -120,7 +113,7 @@ def main(argv=None):
                   + (" with uncommitted changes" if git("status", "--porcelain") else ""),
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "first": "parent on even pair indices, change on odd",
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
