@@ -72,11 +72,11 @@ def _read_config_file(path, options):
     return values
 
 
-# the potential options without a default, by the family that reads them
+# the potential options by the families that read them; none has a parser default
 _FAMILY_OPTIONS = {
-    "yukawa": ("delta", "mu-re", "mu-im"),
-    "kratzer": ("B",),
-    "morse": ("V0", "r0", "width"),
+    "yukawa": ("A", "delta", "mu-re", "mu-im"),
+    "kratzer": ("A", "B"),
+    "morse": ("V0", "r0", "width", "beta"),
 }
 
 
@@ -85,10 +85,11 @@ def _build_potential(cfg):
     if name is None:
         raise ConfigError("--potential is required")
     family = name.split("-")[0]
-    for other, keys in _FAMILY_OPTIONS.items():
+    for keys in _FAMILY_OPTIONS.values():
         for key in keys:
-            if other != family and cfg[key] is not None:
+            if key not in _FAMILY_OPTIONS[family] and cfg[key] is not None:
                 raise ConfigError("--%s does not apply to --potential %s" % (key, name))
+    A = cfg["A"] if cfg["A"] is not None else 1.0
     if family == "yukawa":
         variant = {"yukawa": "classical", "yukawa-cos": "cosine", "yukawa-sin": "sine"}[name]
         if cfg["delta"] is not None:
@@ -99,18 +100,19 @@ def _build_potential(cfg):
         else:
             mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
             mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
-        return YukawaParams(strength=cfg["A"], mu_re=mu_re, mu_im=mu_im, variant=variant)
+        return YukawaParams(strength=A, mu_re=mu_re, mu_im=mu_im, variant=variant)
     if family == "kratzer":
         if cfg["B"] is None:
             raise ConfigError("kratzer requires --B")
         if cfg["ell"] == 0:
             raise ConfigError("kratzer requires |ell| >= 1: the 1/r^2 element diverges at ell = 0")
-        return KratzerParams(coulomb=cfg["A"], inverse_square=cfg["B"])
+        return KratzerParams(coulomb=A, inverse_square=cfg["B"])
     # morse
     for key in ("V0", "r0", "width"):
         if cfg[key] is None:
             raise ConfigError("morse requires --%s" % key)
-    return MorseParams(depth=cfg["V0"], r_eq=cfg["r0"], width=cfg["width"], beta=cfg["beta"])
+    beta = cfg["beta"] if cfg["beta"] is not None else 1.0
+    return MorseParams(depth=cfg["V0"], r_eq=cfg["r0"], width=cfg["width"], beta=beta)
 
 
 def _parse_grid(text):
@@ -297,10 +299,10 @@ def cmd_validate(cfg):
         radial_function(potential), basis,
         order=cfg["order"], weight_nu=oracle_weight_nu(potential, basis),
     )
-    diff = np.abs(assembled - oracle)
-    # relative where the element is appreciable, absolute (scaled to the
-    # same 1e-11 threshold) where it is tiny
-    dev = diff / np.maximum(np.abs(assembled), 1e-2)
+    # |assembled - oracle| / max(|assembled|, 1e-2), in place: relative where the element
+    # is appreciable, absolute (scaled to the same 1e-11 threshold) where it is tiny
+    dev = np.abs(np.subtract(assembled, oracle, out=oracle), out=oracle)
+    dev /= np.maximum(np.abs(assembled, out=assembled), 1e-2, out=assembled)
     n, m = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[n, m])
     buf = io.StringIO()
@@ -335,7 +337,7 @@ def build_parser():
     p_table.add_argument("id", type=int, choices=[1, 2, 3])
     for p in (p_solve, p_scan, p_val):
         p.add_argument("--potential", choices=POTENTIAL_NAMES)
-        p.add_argument("--A", type=float, default=1.0, help="Yukawa strength / Kratzer Coulomb strength")
+        p.add_argument("--A", type=float, help="Yukawa strength / Kratzer Coulomb strength (default 1)")
         p.add_argument("--delta", type=float, help="screening parameter (sets both parts for cos/sin)")
         p.add_argument("--mu-re", type=float)
         p.add_argument("--mu-im", type=float)
@@ -343,7 +345,7 @@ def build_parser():
         p.add_argument("--V0", type=float, help="Morse depth")
         p.add_argument("--r0", type=float, help="Morse equilibrium radius")
         p.add_argument("--width", type=float, help="Morse exponent")
-        p.add_argument("--beta", type=float, default=1.0, help="Morse shape parameter")
+        p.add_argument("--beta", type=float, help="Morse shape parameter (default 1)")
         p.add_argument("--ell", type=int, default=0)
     for p in (p_solve, p_scan):
         p.add_argument("--N", type=int, default=100, help="basis size")

@@ -47,7 +47,8 @@ by Gauss quadrature instead, V = (Q*f) @ Q.T, the quadrature (Jacobi-matrix)
 form of the potential used in the J-matrix method (Heller & Yamani, Phys.
 Rev. A 9, 1201 (1974)).  Q holds the orthonormal Laguerre functions at the
 nodes of a Gauss rule for the weight x^nu e^{-s x}, s = 1 + mu_re/lam, and
-f the oscillating factor.  The screening e^{-(s-1) x} leaves about
+f the oscillating factor, in the oracle's table and product (_gauss_matrix).
+The screening e^{-(s-1) x} leaves about
 (mu_im/mu_re) 40/pi zeros of the oscillation where the integrand matters,
 so one constant margin of nodes covers every mu_im <= mu_re; YukawaParams
 rejects the rest.
@@ -58,10 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dsyrk
 from scipy.special import gammaln
 
-from .quadrature import _symmetrize, gauss_laguerre_rule
+from .quadrature import _gauss_matrix, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
     "YukawaParams",
@@ -199,28 +200,16 @@ def _yukawa_gauss_matrix(p, basis):
     V_nm = int x^nu e^{-s x} p_n p_m f dx with p_n the orthonormal Laguerre
     functions (sign of L_n^nu), s = 1 + mu_re/lam and f = x V(x/lam),
     taken on the rule for x^nu e^{-x} scaled to the weight x^nu e^{-s x}.
-    Q_ni = sqrt(w_i) p_n(x_i) comes from the orthonormal three-term
-    recurrence in longdouble; Q Q^T is the Gram matrix of e^{-(s-1) x} <= 1,
-    so no term of the float64 product exceeds the scale of the result.
+    |f| <= A lam and the Gram matrix of e^{-(s-1) x} has a diagonal <= 1, so
+    no term of the float64 product exceeds A lam.
     """
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = np.longdouble(1.0 + p.mu_re / lam)
     rule = gauss_laguerre_rule(N + _GAUSS_MARGIN, nu)
     x = rule.nodes / s
-    k = np.arange(N + 1, dtype=np.longdouble)
-    off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
-    Q = np.empty((N, rule.order))
-    prev = np.zeros_like(x)
-    cur = np.exp(0.5 * (rule.log_weights - (nu + 1) * np.log(s) - gammaln(nu + 1.0)))
-    for n in range(N):
-        Q[n] = cur
-        # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
-        prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
     phase = (p.mu_im / lam) * x
     f = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
-    Qf = Q * (p.strength * lam * f).astype(float)
-    # scipy's BLAS, on Fortran-ordered views, as in _yukawa_real_matrix
-    return _symmetrize(dgemm(1.0, Qf.T, Q.T, trans_a=1))
+    return _gauss_matrix(N, nu, x, rule.log_weights - (nu + 1) * np.log(s), p.strength * lam * f)
 
 
 def yukawa_matrix(p, basis):

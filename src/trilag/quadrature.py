@@ -1,8 +1,11 @@
 """Generalized Gauss-Laguerre rules and the numerical matrix-element oracle.
 
-The rule with weight x^nu e^{-x} is built from the symmetric Jacobi matrix
-of the Laguerre recurrence, with nodes polished by two Newton steps in
-extended precision.  Weights come from the derivative-free identity
+The rule with weight x^nu e^{-x} starts from the float64 eigenvalues (no
+eigenvectors) of the symmetric Jacobi matrix of the Laguerre recurrence
+(Golub & Welsch, Math. Comp. 23, 1969).  That start is good to ~1e-12
+relative, so one extended-precision Newton step polishes the nodes to the
+~1e-15 floor at which the recurrence evaluates L_order; a second step only
+adds that noise.  Weights come from the derivative-free identity
 
     w_i = Gamma(order+nu+1) x_i / (order! (order+1)^2 L_{order+1}^nu(x_i)^2)
 
@@ -11,10 +14,10 @@ eigenvector-based weights lose all relative accuracy for the tiny weights
 in the far tail.  Weights are stored in extended precision so every one of
 them is positive and nonzero up to order ~600.
 
-Besides the oracle, the rules assemble the cosine- and sine-screened Yukawa
-matrices (potentials).  The extended-precision Gram product _lower_gram
-serves the oracle only; the closed-form kernels in potentials are float64
-BLAS products.
+A rule assembles a potential matrix as the float64 BLAS product
+V = (Q*f) @ Q.T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q holding the
+orthonormal Laguerre functions at the nodes, built in extended precision.  The
+oracle and the cosine and sine Yukawa wells (potentials) share it: _gauss_matrix.
 """
 
 import threading
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dsyrk
 from scipy.special import gammaln
 
 from .specfun import laguerre_seq
@@ -44,40 +48,51 @@ class QuadRule:
         return float(np.sum(self.weights * np.asarray(f_values, dtype=np.longdouble)))
 
 
-# block width of _lower_gram: wide enough that the Python loop is cheap,
-# narrow enough that a weighted row block stays small
-_GRAM_BLOCK = 32
-
-
 def _symmetrize(M):
     """Make the matrix exactly symmetric (lower triangle authoritative)."""
     return np.tril(M) + np.tril(M, -1).T
 
 
-def _lower_gram(C, w):
-    """Lower block triangle of (C*w) @ C.T.
+def _gauss_matrix(N, nu, x, log_w, f):
+    """V_nm = sum_i w_i f_i p_n(x_i) p_m(x_i) for n, m < N, in float64.
 
-    Row block K is (C*w)[k0:k1, :e] @ C[:k1, :e].T, where e is one past
-    the last nonzero column of rows k0:k1 of C: k1 for a lower-triangular C,
-    every column for a dense one.  The columns it leaves out hold exact
-    zeros, and the unblocked extended-precision matmul sums over columns in
-    order, so every entry on or below the diagonal is bit-identical to the
-    full product.  Weighting one row block at a time keeps no weighted copy
-    of C, the largest array of a validate run for the oracle's dense table.
-    Diagonal blocks also carry upper entries; blocks right of them are zero.
+    p_n = sqrt(n!/Gamma(n+nu+1)) L_n^nu are the Laguerre polynomials
+    orthonormal under x^nu e^{-x}; x, log_w (longdouble) and f are the nodes,
+    log-weights and integrand factor of a rule for that weight.  The table
+    Q_ni = sqrt(w_i |f_i|) p_n(x_i) comes from the orthonormal three-term
+    recurrence in longdouble and is cast to float64 with the nodes where
+    f >= 0 first, so V = Q+ Q+^T - Q- Q-^T is two dsyrk calls on column
+    blocks of Q, and no weighted copy of the table is made.
     """
-    N = C.shape[0]
-    J = np.zeros((N, N), np.result_type(C, w))
-    for k0 in range(0, N, _GRAM_BLOCK):
-        k1 = min(k0 + _GRAM_BLOCK, N)
-        nonzero = np.flatnonzero(C[k0:k1].any(axis=0))
-        e = nonzero[-1] + 1 if nonzero.size else 0
-        J[k0:k1, :k1] = (C[k0:k1, :e] * w[:e]) @ C[:k1, :e].T
-    return J
+    by_sign = np.argsort(f < 0, kind="stable")
+    n_pos = int(np.count_nonzero(f >= 0))
+    x = x[by_sign]
+    k = np.arange(N + 1, dtype=np.longdouble)
+    off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
+    Q = np.empty((N, x.size), order="F")
+    prev = np.zeros_like(x)
+    cur = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - gammaln(nu + 1.0)))
+    for n in range(N):
+        Q[n] = cur
+        # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
+        prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
+    V = np.zeros((N, N), order="F")
+    for alpha, block in ((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:])):
+        if block.shape[1]:
+            # scipy's BLAS, as in potentials._yukawa_real_matrix
+            V = dsyrk(alpha, block, beta=1.0, c=V, lower=1, overwrite_c=1)
+    del Q, block  # the table goes before the mirror allocates
+    return _symmetrize(V)
 
 
 _rule_cache = {}
 _rule_lock = threading.Lock()
+
+
+# steps between overflow tests in _laguerre_pair_scaled: a step grows the pair
+# by less than 2 order + nu + 2 (below 2^13 up to order ~1700), far inside the
+# 2^8384 headroom above the 2^8000 threshold
+_RESCALE_STEPS = 32
 
 
 def _laguerre_pair_scaled(nmax, nu, x):
@@ -93,22 +108,24 @@ def _laguerre_pair_scaled(nmax, nu, x):
     m1 = (1.0 + nu - x).astype(np.longdouble)
     big = np.longdouble(2.0) ** 8000
     for k in range(1, nmax):
-        m2 = ((2 * k + nu + 1 - x) * m1 - (k + nu) * m0) / (k + 1)
-        over = np.abs(m2) > big
-        if over.any():
-            scale = np.where(over, 1 / big, np.longdouble(1.0))
-            m2 = m2 * scale
-            m1 = m1 * scale
-            expo = expo + np.where(over, 8000, 0)
-        m0, m1 = m1, m2
+        m0, m1 = m1, ((2 * k + nu + 1 - x) * m1 - (k + nu) * m0) / (k + 1)
+        if k % _RESCALE_STEPS == 0:
+            over = np.maximum(np.abs(m0), np.abs(m1)) > big
+            if over.any():
+                scale = np.where(over, 1 / big, np.longdouble(1.0))
+                m0 = m0 * scale
+                m1 = m1 * scale
+                expo = expo + np.where(over, 8000, 0)
     return m0, m1, expo
 
 
 def gauss_laguerre_rule(order, nu):
     """Gauss rule of the given order for the weight x^nu e^{-x}.
 
-    Results are cached per (order, nu) with nu keyed by its exact bits;
-    the cache is safe under concurrent lookup.
+    The float64 eigenvalues of the Jacobi matrix start one extended-precision
+    Newton step on L_order^nu; the weights are evaluated at the polished
+    nodes.  Results are cached per (order, nu) with nu keyed by its exact
+    bits; the cache is safe under concurrent lookup.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
@@ -121,13 +138,12 @@ def gauss_laguerre_rule(order, nu):
         return hit
 
     i = np.arange(order)
-    x, _ = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), select="a")
+    x = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), eigvals_only=True)
     x = x.astype(np.longdouble)
-    for _ in range(2):
-        lprev, lcur, _e = _laguerre_pair_scaled(order, nu, x)
-        # L'_order = (order L_order - (order+nu) L_{order-1}) / x
-        deriv = (order * lcur - (order + nu) * lprev) / x
-        x = x - lcur / deriv
+    lprev, lcur, _e = _laguerre_pair_scaled(order, nu, x)
+    # L'_order = (order L_order - (order+nu) L_{order-1}) / x
+    deriv = (order * lcur - (order + nu) * lprev) / x
+    x = x - lcur / deriv
     _lprev, lnext, expo = _laguerre_pair_scaled(order + 1, nu, x)
     log_w = (
         gammaln(order + nu + 1.0)
@@ -198,32 +214,25 @@ def quad_matrix_element(v, basis, n, m, order=None, weight_nu=None):
 def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     """Full size x size numerical potential matrix for the radial function v.
 
-    Evaluates the Laguerre sequence once per node and assembles all
-    elements from the lower block triangle of one rank-reduction product,
-    mirrored, so the cost is O(order * size^2 / 2) after O(order * size)
-    polynomial evaluations.
+    The basis norms turn the element integrand of quad_matrix_element into
+    w_i x_i^{nu - weight_nu} f_i p_n(x_i) p_m(x_i), with f = x^{2 alpha - nu}
+    v(x/lam) and p_n the orthonormal Laguerre polynomials, so the matrix is
+    one Gauss product _gauss_matrix: O(order * size) recurrence steps in
+    extended precision and a float64 product of O(order * size^2 / 2).
     """
-    N = basis.size
+    N, nu = basis.size, basis.nu
     if order is None:
         order = default_oracle_order(basis, N - 1, N - 1)
     if weight_nu is None:
-        weight_nu = basis.nu
+        weight_nu = nu
     rule = gauss_laguerre_rule(order, weight_nu)
-    x = rule.nodes
-    xl = np.asarray(x, np.longdouble)
-    vals = np.asarray(v(xl / np.longdouble(basis.lam)))
+    x = np.asarray(rule.nodes, np.longdouble)
+    vals = np.asarray(v(x / np.longdouble(basis.lam)))
     if not np.all(np.isfinite(vals.astype(float))):
         bad = int(np.argmin(np.isfinite(vals.astype(float))))
         raise ValueError(
             "potential evaluated non-finite at quadrature node x=%r (r=%r)"
-            % (x[bad], x[bad] / basis.lam)
+            % (rule.nodes[bad], rule.nodes[bad] / basis.lam)
         )
-    L = laguerre_seq(N - 1, basis.nu, xl)
-    # accumulate in extended precision: the integrand terms span many orders
-    # of magnitude and the small elements would otherwise be dominated by
-    # roundoff from the large ones
-    g = rule.weights * xl ** (2 * basis.alpha - weight_nu) * np.asarray(vals, np.longdouble)
-    a = np.array([basis.norm_coeff(k) for k in range(N)])
-    # mirrored after the cast, which copies entries exactly
-    M = _symmetrize(_lower_gram(L, g).astype(float))
-    return (np.outer(a, a) / basis.lam) * M
+    f = x ** (2 * basis.alpha - nu) * vals
+    return _gauss_matrix(N, nu, x, rule.log_weights + (nu - weight_nu) * np.log(x), f)

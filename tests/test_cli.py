@@ -84,12 +84,29 @@ class TestSolve:
         (["--potential", "kratzer", "--B", "5", "--ell", "1", "--r0", "4"], "--r0"),
         (["--potential", "yukawa", "--delta", "0.5", "--B", "3"], "--B"),
         (["--potential", "yukawa-sin", "--mu-re", "1", "--width", "1"], "--width"),
-    ], ids=["found", "morse-B", "kratzer-mu-im", "kratzer-r0", "yukawa-B", "sine-width"])
+        (["--potential", "kratzer", "--B", "5", "--ell", "1", "--beta", "3", "--N", "40",
+          "--k", "1"], "--beta"),
+        (["--potential", "yukawa", "--delta", "0.5", "--beta", "1"], "--beta"),
+        (["--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5",
+          "--A", "2"], "--A"),
+    ], ids=["found", "morse-B", "kratzer-mu-im", "kratzer-r0", "yukawa-B", "sine-width",
+            "kratzer-beta", "yukawa-beta", "morse-A"])
     def test_option_of_another_family_is_config_error(self, capsys, argv, named):
         code, out, err = run(capsys, "solve", *argv)
         assert code == EXIT_CONFIG
         assert out == ""
         assert named in err
+
+    @pytest.mark.parametrize("argv, unset", [
+        (["--potential", "kratzer", "--B", "5", "--ell", "1"], ["--A", "1"]),
+        (["--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5"], ["--beta", "1"]),
+    ], ids=["kratzer-A", "morse-beta"])
+    def test_unset_option_reads_one_and_is_not_echoed(self, capsys, argv, unset):
+        _, implicit, _ = run(capsys, "solve", "--N", "40", *argv)
+        _, explicit, _ = run(capsys, "solve", "--N", "40", *argv, *unset)
+        echo, body = implicit.split("\n", 1)
+        assert body == explicit.split("\n", 1)[1]
+        assert " %s=" % unset[0][2:] not in echo
 
     @pytest.mark.parametrize("mu", ["--mu-re", "--mu-im"])
     def test_delta_with_mu_is_config_error(self, capsys, mu):

@@ -16,7 +16,7 @@ from trilag.potentials import (
     radial_function,
     yukawa_matrix,
 )
-from trilag.quadrature import _lower_gram, _symmetrize, quad_potential_matrix
+from trilag.quadrature import quad_potential_matrix
 
 
 def oracle_deviation(analytic, params, basis, order=300):
@@ -79,27 +79,6 @@ class TestParamValidation:
                 MorseParams(**dict(kwargs, **{field: bad}))
 
 
-class TestLowerGram:
-    @pytest.mark.parametrize("dtype", [np.longdouble])
-    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 101])
-    def test_lower_triangle_bit_identical(self, N, dtype):
-        rng = np.random.default_rng(N)
-        C = np.tril(rng.standard_normal((N, N)).astype(dtype))
-        w = rng.uniform(0.5, 2.0, N).astype(np.longdouble)
-        J = _lower_gram(C, w)
-        assert J.dtype == dtype
-        assert np.array_equal(np.tril(J), np.tril((C * w) @ C.T))
-
-    @pytest.mark.parametrize("shape", [(1, 3), (33, 50), (101, 450)])
-    def test_dense_factor_lower_triangle_bit_identical(self, shape):
-        # the quadrature oracle's Laguerre table: every row reaches every node
-        rng = np.random.default_rng(shape[0])
-        L = rng.standard_normal(shape).astype(np.longdouble)
-        g = rng.uniform(0.5, 2.0, shape[1]).astype(np.longdouble)
-        J = _lower_gram(L, g)
-        assert np.array_equal(np.tril(J), np.tril((L * g) @ L.T))
-
-
 def connection_reference(N, nu, sigma):
     """C[n, j] = binom(n+nu, n-j) (sigma-1)^{n-j} / sigma^n for j <= n, in longdouble.
 
@@ -132,7 +111,8 @@ def classical_reference(p, basis):
     N, nu = basis.size, basis.nu
     sigma = 1.0 + p.mu_re / basis.lam
     h = moment_norms(N, nu)
-    J = _symmetrize(_lower_gram(connection_reference(N, nu, sigma), h))
+    C = connection_reference(N, nu, sigma)
+    J = (C * h) @ C.T
     r = 1 / np.sqrt(h)
     return -p.strength * basis.lam * np.longdouble(sigma) ** (-(nu + 1)) * J * np.outer(r, r)
 

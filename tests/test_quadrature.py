@@ -6,12 +6,20 @@ import pytest
 from scipy.special import gammaln
 
 from trilag.basis import BasisSpec
+from trilag.potentials import (
+    KratzerParams,
+    MorseParams,
+    YukawaParams,
+    oracle_weight_nu,
+    radial_function,
+)
 from trilag.quadrature import (
     QuadRule,
     gauss_laguerre_rule,
     quad_matrix_element,
     quad_potential_matrix,
 )
+from trilag.specfun import laguerre_seq
 
 
 class TestRuleConstruction:
@@ -50,6 +58,19 @@ class TestRuleConstruction:
             peak = logs.max()
             got = float(np.log(np.sum(np.exp(logs - peak))) + peak)
             assert got == pytest.approx(float(gammaln(nu + k + 1.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("order", [164, 450, 850])
+    @pytest.mark.parametrize("nu", [0.0, 2.0, 3.0])
+    def test_nodes_are_newton_fixed_points(self, order, nu):
+        # a further extended-precision Newton step on L_order^nu moves no
+        # node by more than the recurrence's own evaluation noise
+        rule = gauss_laguerre_rule(order, nu)
+        x = np.asarray(rule.nodes, np.longdouble)
+        prev, cur = np.ones_like(x), 1 + nu - x
+        for k in range(1, order):
+            prev, cur = cur, ((2 * k + nu + 1 - x) * cur - (k + nu) * prev) / (k + 1)
+        step = cur * x / (order * cur - (order + nu) * prev)
+        assert float(np.max(np.abs(step / x))) <= 1e-14
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -128,3 +149,24 @@ class TestMatrixOracle:
         basis = BasisSpec(lam=1.0, ell=2, size=10)
         M = quad_potential_matrix(lambda r: -1.0 / r, basis, order=60)
         np.testing.assert_allclose(M, M.T, rtol=1e-13)
+
+    @pytest.mark.parametrize("params,basis", [
+        pytest.param(YukawaParams(1.0, 0.5), BasisSpec(1.0, 0, 200), id="classical"),
+        pytest.param(MorseParams(-6.0, 4.0, 1.5, 0.8), BasisSpec(6.0, 1, 200), id="morse"),
+        pytest.param(KratzerParams(1.0, 5.0), BasisSpec(1.0, 2, 200), id="kratzer"),
+        pytest.param(YukawaParams(1.0, 0.5, 0.5, "cosine"), BasisSpec(1.0, 0, 200), id="cosine"),
+    ])
+    def test_matches_longdouble_product(self, params, basis):
+        # the oracle as a longdouble product of the Laguerre table with the
+        # basis norms, on the same rule; compared in the validate metric.
+        # The cosine well is assembled by the same Gauss product, so this
+        # keeps its oracle independent of that code.
+        v, weight_nu = radial_function(params), oracle_weight_nu(params, basis)
+        rule = gauss_laguerre_rule(450, weight_nu)
+        x = np.asarray(rule.nodes, np.longdouble)
+        L = laguerre_seq(basis.size - 1, basis.nu, x)
+        g = rule.weights * x ** (2 * basis.alpha - weight_nu) * v(x / np.longdouble(basis.lam))
+        a = np.array([basis.norm_coeff(k) for k in range(basis.size)], np.longdouble)
+        ref = (np.outer(a, a) / basis.lam * ((L * g) @ L.T)).astype(float)
+        got = quad_potential_matrix(v, basis, order=450, weight_nu=weight_nu)
+        assert float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-2))) <= 1e-12

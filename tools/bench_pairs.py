@@ -4,8 +4,9 @@ Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr 7
 
-The parent commit is checked out into a temporary git worktree, which is
-removed when the script ends; the change is this checkout's working tree.
+The parent commit is exported with `git archive` into a temporary directory
+(under $TMPDIR), which is removed when the script ends; the change is this
+checkout's working tree.
 For every seed from 1 to 10 and every workload in BENCHMARK.json the script
 runs `perfbench/run.py --trace 0` once on each side, at the run length
 BENCHMARK.json sets, and alternates which side goes first from one pair to
@@ -16,6 +17,7 @@ failed operation counts of each side.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -23,6 +25,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,9 +93,12 @@ def main(argv=None):
     parent = git("rev-parse", "--verify", args.parent + "^{commit}")
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
     tree = os.path.join(tmp, "parent")
-    git("worktree", "add", "--detach", tree, parent)
     pairs = {w: [] for w in workloads}
     try:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", parent], check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
         for i, seed in enumerate(SEEDS):
             for workload in workloads:
                 sides = {}
@@ -104,7 +110,6 @@ def main(argv=None):
                         sides[side]["failed"]), flush=True)
                 pairs[workload].append((sides["parent"], sides["change"]))
     finally:
-        git("worktree", "remove", "--force", tree)
         shutil.rmtree(tmp, ignore_errors=True)
 
     record = {
