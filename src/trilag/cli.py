@@ -355,7 +355,9 @@ def build_parser():
     p_scan.add_argument("--lambda-grid", help="lo:hi:step or comma-separated lam values")
     p_scan.add_argument("--tol-plateau", type=float, default=1e-9)
     p_scan.add_argument("--threads", type=int,
-                        help="worker threads over the lam grid (results unchanged)")
+                        help="worker threads over the lam grid (results unchanged); "
+                             "LAPACK calls hold the GIL, so only the numpy part "
+                             "of the solves overlaps")
     p_val.add_argument("--limit", type=int, default=40, help="validate elements with n, m <= limit")
     p_val.add_argument("--order", type=int, default=300, help="quadrature order")
     for p in (p_solve, p_scan, p_table, p_val):

@@ -13,13 +13,18 @@ and the whole reduction is O(N^2).  A dense S is simply the kd = N - 1
 case.
 
 A is then tridiagonalised once (dsytrd, Q^T A Q = T, 4N^3/3 flops), the
-one cubic step every request pays.  All eigenvalues come from T (dsterf,
-O(N^2); a request for every vector takes them from the MRRR call below).
-Eigenvectors are computed only for the k lowest levels asked for: MRRR
-(dstemr) on T, the reflectors of Q applied to those k columns
-(dormqr, 2N^2 k) and L^{-T} to the same k columns, as LAPACK's own subset
-drivers do.  A caller that inspects only the bound levels thus pays
-O(N^2 k) beyond the reduction instead of another two cubic steps.
+one cubic step every request pays.  Three kinds of request follow it:
+
+- every eigenvalue (solve_pencil): dsterf on T, O(N^2); a request for every
+  vector takes them from the MRRR call below;
+- eigenvectors for the k lowest levels asked for (solve_pencil with
+  `below`): MRRR (dstemr) on T, the reflectors of Q applied to those k
+  columns (dormqr, 2N^2 k) and L^{-T} to the same k columns, as LAPACK's
+  own subset drivers do, so a caller that inspects only the bound levels
+  pays O(N^2 k) beyond the reduction instead of another two cubic steps;
+- the k lowest eigenvalues only (lowest_eigenvalues): Sturm-sequence
+  bisection on T (dstebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967),
+  O(N k), with neither Q nor L^{-T} applied to anything.
 """
 
 import warnings
@@ -29,6 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import (
     dormqr,
     dpbtrf,
+    dstebz,
     dstemr,
     dstemr_lwork,
     dsterf,
@@ -37,7 +43,7 @@ from scipy.linalg.lapack import (
     dtbtrs,
 )
 
-__all__ = ["Pencil", "NotPositiveDefiniteError", "solve_pencil"]
+__all__ = ["Pencil", "NotPositiveDefiniteError", "lowest_eigenvalues", "solve_pencil"]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -128,13 +134,13 @@ def _apply_q(QT, tau, Z):
 _COND_WARN = 1e12
 
 
-def solve_pencil(p, eigvecs=False, below=np.inf):
-    """Ascending eigenvalues of the pencil, optionally with eigenvectors.
+def _tridiagonalize(p):
+    """Reduce the pencil to the standard tridiagonal problem.
 
-    With eigvecs, every eigenvalue is returned together with the
-    eigenvectors of those below `below` (all of them by default), as
-    ascending columns; there may be none.  They are S-orthonormal
-    (f_i^T S f_j = delta_ij).  Emits a warning when the overlap condition
+    Returns (c, QT, d, e, tau): the band Cholesky factor c of S, and the
+    dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T with diagonal d and
+    subdiagonal e, the reflectors of Q stored below the subdiagonal of QT
+    with their scalars tau.  Emits a warning when the overlap condition
     number estimate exceeds 1e12 (accuracy of the reduction degrades).
     """
     c = _band_cholesky(np.asarray(p.s, dtype=float))
@@ -156,6 +162,20 @@ def solve_pencil(p, eigvecs=False, below=np.inf):
     _check_converged(info, "dsytrd_lwork")
     QT, d, e, tau, info = dsytrd(A.T, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_converged(info, "dsytrd")
+    return c, QT, d, e, tau
+
+
+def solve_pencil(p, eigvecs=False, below=np.inf):
+    """Ascending eigenvalues of the pencil, optionally with eigenvectors.
+
+    With eigvecs, every eigenvalue is returned together with the
+    eigenvectors of those below `below` (all of them by default), as
+    ascending columns; there may be none.  They are S-orthonormal
+    (f_i^T S f_j = delta_ij).  Emits a warning when the overlap condition
+    number estimate exceeds 1e12 (accuracy of the reduction degrades).
+    """
+    c, QT, d, e, tau = _tridiagonalize(p)
+    N = len(d)
     if eigvecs and below == np.inf:
         # every pair wanted: MRRR finds all eigenvalues with the vectors
         w, Z = _mrrr(d, e, N)
@@ -173,3 +193,26 @@ def solve_pencil(p, eigvecs=False, below=np.inf):
             return w, np.zeros((N, 0))
         _, Z = _mrrr(d, e, k)
     return w, _band_solve(c, _apply_q(QT, tau, Z), trans="T")
+
+
+# dstebz's absolute tolerance: twice the smallest normal number is LAPACK's
+# choice for maximal accuracy (abstol = 0 stops at about eps |T| instead)
+_BISECT_TOL = 2 * np.finfo(float).tiny
+
+
+def lowest_eigenvalues(p, k):
+    """The min(k, N) lowest eigenvalues of the pencil, ascending.
+
+    No eigenvectors are formed: after the one tridiagonalisation the levels
+    come from Sturm-sequence bisection on T (dstebz), O(N k).  Emits the
+    same conditioning warning as solve_pencil.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _, _, d, e, _ = _tridiagonalize(p)
+    N = len(d)
+    if N == 1:
+        return d
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, min(k, N), _BISECT_TOL, "E")
+    _check_converged(info, "dstebz")
+    return w[:min(m, k)]

@@ -292,7 +292,9 @@ def kratzer_matrix(p, basis):
     V2 = np.exp(loga[:, None] - loga[None, :], out=np.zeros((N, N)),
                 where=np.tri(N, dtype=bool))
     V2 *= basis.lam ** 2 * p.inverse_square / (2.0 * nu)
-    return _symmetrize(V2) - p.coulomb * basis.lam * np.eye(N)
+    V = _symmetrize(V2)
+    V[np.diag_indices(N)] -= p.coulomb * basis.lam
+    return V
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ class QuadRule:
 
 
 def _symmetrize(M):
-    """Make the matrix exactly symmetric (lower triangle authoritative)."""
-    return np.tril(M) + np.tril(M, -1).T
+    """Mirror the lower triangle of M into its upper one, in place; returns M."""
+    for i in range(M.shape[0] - 1):
+        M[i, i + 1:] = M[i + 1:, i]
+    return M
 
 
 def _gauss_matrix(N, nu, x, log_w, f):
@@ -81,7 +83,6 @@ def _gauss_matrix(N, nu, x, log_w, f):
         if block.shape[1]:
             # scipy's BLAS, as in potentials._yukawa_real_matrix
             V = dsyrk(alpha, block, beta=1.0, c=V, lower=1, overwrite_c=1)
-    del Q, block  # the table goes before the mirror allocates
     return _symmetrize(V)
 
 

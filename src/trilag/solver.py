@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .basis import BasisSpec, h0_matrix, overlap_matrix
-from .eigen import Pencil, solve_pencil
+from .eigen import Pencil, lowest_eigenvalues, solve_pencil
 from .potentials import (
     KratzerParams,
     MorseParams,
@@ -82,6 +82,11 @@ def _tail_fractions(F, nu):
     return np.sum(Y[-GUARD_TAIL:] ** 2, axis=0) / np.sum(Y ** 2, axis=0)
 
 
+def _pencil(potential, basis):
+    """The pencil (H0 + V, S) of the potential in the basis."""
+    return Pencil(h0_matrix(basis) + potential_matrix(potential, basis), overlap_matrix(basis))
+
+
 def bound_states(potential, basis):
     """Assemble H = H0 + V and solve; negative eigenvalues are bound states.
 
@@ -89,10 +94,8 @@ def bound_states(potential, basis):
     whose S-normalized coefficient vector has more than half its norm in
     the last GUARD_TAIL coefficients is flagged suspect.
     """
-    S = overlap_matrix(basis)
-    H = h0_matrix(basis) + potential_matrix(potential, basis)
     # vectors only for the bound levels, which are the first columns
-    w, F = solve_pencil(Pencil(H, S), eigvecs=True, below=-ZERO_BAND)
+    w, F = solve_pencil(_pencil(potential, basis), eigvecs=True, below=-ZERO_BAND)
     unresolved = tuple(i for i, e in enumerate(w) if abs(e) <= ZERO_BAND)
     suspect = ()
     if basis.size > GUARD_TAIL:
@@ -142,6 +145,12 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     where all k tracked levels are bound and each varies by at most
     tol_rel relative; ties go to the window starting at smaller lam.
     Absence of a plateau is a normal outcome, not an error.
+
+    Each grid point takes only the k lowest eigenvalues (no eigenvectors, no
+    truncation guard).  With threads > 1 the points are solved on a thread
+    pool, but scipy's LAPACK wrappers hold the GIL, so only the numpy part
+    of the solves (assembly, reduction) overlaps; the LAPACK calls run one
+    at a time, each on the BLAS thread pool.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -152,7 +161,7 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
         raise ValueError("k must be >= 1")
 
     def solve_at(lam):
-        return bound_states(potential, basis.with_lam(lam)).energies[:k]
+        return lowest_eigenvalues(_pencil(potential, basis.with_lam(lam)), k)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -197,12 +206,12 @@ class ConvergenceTable:
 
 
 def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
-    """Eigenvalue traces as the basis size grows through n_grid."""
+    """Traces of the k lowest eigenvalues as the basis size grows through n_grid."""
     n_grid = tuple(int(N) for N in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
     traces = np.array(
-        [bound_states(potential, basis.with_size(N)).energies[:k] for N in n_grid]
+        [lowest_eigenvalues(_pencil(potential, basis.with_size(N)), k) for N in n_grid]
     )
     if len(n_grid) >= 2:
         converged = np.abs(traces[-1] - traces[-2]) <= tol
@@ -222,9 +231,10 @@ def _with_delta(p, delta):
 def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     """Bisect the screening delta at which the given level detaches.
 
-    The predicate is the count of bound states: the level exists while
-    more than `level` states are bound.  Requires the level bound at the
-    lower bracket end and unbound at the upper end.
+    The predicate is that level `level` lies below -ZERO_BAND, which is
+    the same as more than `level` levels being bound; only the level + 1
+    lowest eigenvalues of each solve are computed.  Requires the level
+    bound at the lower bracket end and unbound at the upper end.
     """
     if basis is None:
         basis = BasisSpec(lam=1.0, ell=ell, size=100)
@@ -232,16 +242,17 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
-    def n_bound(delta):
-        return len(bound_states(_with_delta(p, delta), basis).bound)
+    def is_bound(delta):
+        w = lowest_eigenvalues(_pencil(_with_delta(p, delta), basis), level + 1)
+        return len(w) > level and w[level] < -ZERO_BAND
 
-    if n_bound(lo) <= level:
+    if not is_bound(lo):
         raise ValueError("level %d is not bound at the lower bracket end" % level)
-    if n_bound(hi) > level:
+    if is_bound(hi):
         raise ValueError("level %d is still bound at the upper bracket end" % level)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if n_bound(mid) > level:
+        if is_bound(mid):
             lo = mid
         else:
             hi = mid

@@ -11,10 +11,11 @@ from trilag.eigen import (
     NotPositiveDefiniteError,
     Pencil,
     _band_cholesky,
+    lowest_eigenvalues,
     solve_pencil,
 )
-from trilag.potentials import KratzerParams, YukawaParams, kratzer_matrix
-from trilag.solver import bound_states
+from trilag.potentials import KratzerParams, MorseParams, YukawaParams, kratzer_matrix
+from trilag.solver import _pencil, bound_states
 
 
 class TestCholesky:
@@ -183,3 +184,54 @@ class TestEigenvectorSubset:
         assert len(result.bound) == 0
         assert result.suspect == ()
         assert result.energies.min() > 0
+
+
+FAMILIES = {
+    "kratzer": KratzerParams(coulomb=1.0, inverse_square=5.0),
+    "classical": YukawaParams(strength=1.0, mu_re=0.5, variant="classical"),
+    "cosine": YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.5, variant="cosine"),
+    "sine": YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.3, variant="sine"),
+    "morse": MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8),
+}
+
+
+class TestLowestEigenvalues:
+    # bisection on the tridiagonal T against dsterf's full spectrum of the
+    # same T; the worst gap over these cases is 2.7 eps max|w|
+    @pytest.mark.parametrize("N", [1, 2, 100, 400])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_full_spectrum(self, family, N):
+        p = _pencil(FAMILIES[family], BasisSpec(1.5, 1, N))
+        w = solve_pencil(p)
+        tol = 8 * np.finfo(float).eps * np.abs(w).max()
+        for k in sorted({1, 3, N}):
+            low = lowest_eigenvalues(p, k)
+            assert low.shape == (min(k, N),)
+            np.testing.assert_allclose(low, w[:k], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("lam", [5.0, 8.5])
+    def test_bisection_resolves_small_levels(self, lam):
+        # at a large scale ||T|| ~ 6e5 while the levels are ~0.1: bisection
+        # stopped at eps ||T|| (abstol = 0) is 2e-11 to 4e-11 off here, at
+        # LAPACK's maximal-accuracy abstol within 6e-14 of dsterf
+        p = _pencil(KratzerParams(coulomb=1.0, inverse_square=1.0), BasisSpec(lam, 1, 400))
+        np.testing.assert_allclose(lowest_eigenvalues(p, 3), solve_pencil(p)[:3],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 2, 30])
+    def test_k_beyond_size_returns_every_level(self, N):
+        p = _pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, N))
+        w = solve_pencil(p)
+        low = lowest_eigenvalues(p, N + 5)
+        assert low.shape == w[:N + 5].shape == (N,)
+        np.testing.assert_allclose(low, w, rtol=0, atol=8 * np.finfo(float).eps * np.abs(w).max())
+
+    def test_dense_overlap(self):
+        p = _random_pencil(50, 11)
+        ref = sla.eigh(p.h, p.s, eigvals_only=True)
+        np.testing.assert_allclose(lowest_eigenvalues(p, 7), ref[:7], rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            lowest_eigenvalues(_pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, 10)), 0)

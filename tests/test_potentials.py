@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import trilag.potentials
+import trilag.quadrature
 from trilag._golden import TABLE3, TABLE3_LAM
 from trilag.basis import BasisSpec, overlap_matrix
 from trilag.potentials import (
@@ -380,3 +382,40 @@ class TestKratzer:
         p = KratzerParams(coulomb=1.0, inverse_square=B)
         b = BasisSpec(lam=lam, ell=ell, size=30)
         assert oracle_deviation(kratzer_matrix(p, b), p, b) < 1e-11
+
+
+def _tril_mirror(M):
+    """The out-of-place mirror the in-place _symmetrize replaced."""
+    return np.tril(M) + np.tril(M, -1).T
+
+
+ASSEMBLY_CASES = {
+    "kratzer": lambda b: kratzer_matrix(KratzerParams(coulomb=1.3, inverse_square=5.0), b),
+    "classical": lambda b: yukawa_matrix(YukawaParams(1.0, 0.5, 0.0, "classical"), b),
+    "cosine": lambda b: yukawa_matrix(YukawaParams(1.0, 0.5, 0.5, "cosine"), b),
+    "sine": lambda b: yukawa_matrix(YukawaParams(1.0, 0.5, 0.3, "sine"), b),
+    "morse": lambda b: morse_matrix(MorseParams(-6.0, 4.0, 1.5, 0.8), b),
+    "exp": lambda b: exp_matrix(0.7, b),
+    "quad": lambda b: quad_potential_matrix(lambda r: -np.exp(-r) / (1.0 + r), b),
+}
+
+
+class TestInPlaceAssembly:
+    # the assembled matrices are bit-identical to the earlier out-of-place
+    # forms: tril(M) + tril(M, -1).T, and for Kratzer V2 - coulomb lam I
+    @pytest.mark.parametrize("N", [1, 2, 100, 400])
+    @pytest.mark.parametrize("family", sorted(ASSEMBLY_CASES))
+    def test_matches_out_of_place_form(self, family, N, monkeypatch):
+        b = BasisSpec(lam=1.7, ell=1, size=N)
+        make = ASSEMBLY_CASES[family]
+        got = make(b)
+        monkeypatch.setattr(trilag.potentials, "_symmetrize", _tril_mirror)
+        monkeypatch.setattr(trilag.quadrature, "_symmetrize", _tril_mirror)
+        if family == "kratzer":
+            p = KratzerParams(coulomb=1.3, inverse_square=5.0)
+            V2 = kratzer_matrix(KratzerParams(coulomb=0.0, inverse_square=5.0), b)
+            want = V2 - p.coulomb * b.lam * np.eye(N)
+        else:
+            want = make(b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.T)

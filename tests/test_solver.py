@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trilag import eigen, solver
 from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
 from trilag.eigen import Pencil, solve_pencil
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
@@ -183,3 +184,39 @@ class TestCriticalScreening:
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             critical_screening(cos_yukawa(0.1), ell=0, level=0, bracket=(0.2, 0.5))
+
+    def test_level_predicate_matches_bound_count(self):
+        # the level predicate (level `level` below -ZERO_BAND) bisects to the
+        # deltas the count of bound states gave
+        assert critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5)) == 0.32095947265625
+        assert critical_screening(cos_yukawa(0.1), 0, 2, (0.1, 0.2)) == 0.10649414062500001
+
+
+class TestDriversReadEigenvaluesOnly:
+    # the drivers read only eigenvalues: neither MRRR eigenvectors nor the
+    # truncation guard may run under them
+    @pytest.fixture
+    def no_vectors(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigenvectors or the truncation guard were computed")
+
+        monkeypatch.setattr(eigen, "_mrrr", fail)
+        monkeypatch.setattr(solver, "_tail_fractions", fail)
+
+    def test_patch_reaches_bound_states(self, no_vectors):
+        with pytest.raises(AssertionError):
+            bound_states(cos_yukawa(0.5), BasisSpec(1.0, 0, 60))
+
+    def test_lambda_scan(self, no_vectors):
+        report = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 100),
+                             np.arange(1.0, 5.01, 0.5), k=1, threads=2)
+        assert report.plateau == (1.0, 5.0)
+
+    def test_converge_in_n(self, no_vectors):
+        p = KratzerParams(coulomb=1.0, inverse_square=50.0)
+        table = converge_in_n(p, BasisSpec(0.6, 1, 100), range(20, 101, 40), k=2)
+        assert table.traces.shape == (3, 2)
+
+    def test_critical_screening(self, no_vectors):
+        dc = critical_screening(cos_yukawa(0.1), ell=0, level=1, bracket=(0.2, 0.5))
+        assert dc == 0.32095947265625
