@@ -7,10 +7,15 @@ S-orthonormal pencil eigenvectors through L^{-T}.
 
 The factor is taken in LAPACK band storage.  L has the lower bandwidth kd
 of S (the farthest nonzero subdiagonal), so the factorisation costs
-O(N kd^2) and each triangular solve against N right-hand sides O(N^2 kd).
-The basis overlap is tridiagonal (kd = 1): its factor is lower bidiagonal
-and the whole reduction is O(N^2).  A dense S is simply the kd = N - 1
-case.
+O(N kd^2).  The basis overlap is tridiagonal (kd = 1): its factor is lower
+bidiagonal, O(N) to compute, and L^{-1} is rank-one below the diagonal,
+L^{-1}[n, m] = u_n v_m for m <= n (a semiseparable matrix; Vandebril, Van
+Barel & Mastronardi, Matrix Computations and Semiseparable Matrices, 2008).
+Then A[i, j] = u_i u_j sum_{n <= i, m <= j} v_n v_m H[n, m] is two prefix
+sums over one N x N buffer, O(N^2).  Every other factor (kd != 1, a zero
+subdiagonal, or generators past the float64 range) takes two triangular
+band solves against N right-hand sides, O(N^2 kd); a dense S is simply the
+kd = N - 1 case.
 
 A is then tridiagonalised once (dsytrd, Q^T A Q = T, 4N^3/3 flops), the
 one cubic step every request pays.  Three kinds of request follow it:
@@ -133,6 +138,60 @@ def _apply_q(QT, tau, Z):
 
 _COND_WARN = 1e12
 
+# the generators of a bidiagonal factor's inverse are used when u u^T and
+# v v^T stay normal float64 numbers with 2^64 to spare below overflow for
+# the entries of H and the N^2 terms of a prefix sum
+_GEN_TINY = np.finfo(float).tiny
+_GEN_HUGE = np.finfo(float).max * 2.0 ** -64
+
+
+def _generators(c):
+    """Generators (u, v) of L^{-1}[n, m] = u_n v_m (m <= n) for the band
+    factor c, or None unless L is bidiagonal with no zero subdiagonal entry
+    and the generators' products stay in the float64 range.
+
+    With diagonal d and subdiagonal l, u_n = P_n = prod_{k=1..n} (-l_{k-1}/d_k)
+    and v_n = 1/(P_n d_n); for the basis overlap -l_{k-1}/d_k is
+    sqrt(k)/sqrt(k+nu+1).  They are formed in longdouble, O(N).  A zero
+    subdiagonal entry zeroes u from there on, which the range test rejects.
+    """
+    if c.shape[0] != 2:
+        return None
+    d = c[0].astype(np.longdouble)
+    u = np.ones_like(d)
+    np.cumprod(-c[1, :-1] / d[1:], out=u[1:])
+    with np.errstate(divide="ignore", over="ignore"):
+        v = 1 / (u * d)
+        a = np.abs(np.concatenate((u, v)))
+        lo, hi = a.min(), a.max()
+        if not (lo * lo >= _GEN_TINY and hi * hi <= _GEN_HUGE):
+            return None
+    return u.astype(float), v.astype(float)
+
+
+def _reduce(c, h):
+    """A = L^{-1} H L^{-T} for the band factor c of S, in the Fortran order
+    dsytrd overwrites; only its lower triangle is guaranteed."""
+    g = _generators(c)
+    if g is None:
+        # H is symmetric, so (L^{-1} H)^T = H L^{-T}
+        Y = _band_solve(c, h)
+        A = _band_solve(c, Y.T)
+        return (0.5 * (A + A.T)).T
+    # A = (u u^T) * prefix sums of (v v^T) * H.  Summing along rows first,
+    # then down columns, makes the upper triangle of W (the lower one of
+    # W.T, which dsytrd reads) the more accurate one: there the first sum
+    # runs over the longer index range (at N = 800, 3.5e-15 relative
+    # against 5.4e-15 for the other order).
+    u, v = g
+    W = np.multiply(h, v, order="C")
+    W *= v[:, None]
+    np.cumsum(W, axis=1, out=W)
+    np.cumsum(W, axis=0, out=W)
+    W *= u[:, None]
+    W *= u
+    return W.T
+
 
 def _tridiagonalize(p):
     """Reduce the pencil to the standard tridiagonal problem.
@@ -140,27 +199,25 @@ def _tridiagonalize(p):
     Returns (c, QT, d, e, tau): the band Cholesky factor c of S, and the
     dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T with diagonal d and
     subdiagonal e, the reflectors of Q stored below the subdiagonal of QT
-    with their scalars tau.  Emits a warning when the overlap condition
-    number estimate exceeds 1e12 (accuracy of the reduction degrades).
+    with their scalars tau.  Emits a warning when the squared ratio of the
+    largest to the smallest Cholesky pivot, a lower bound on the 2-norm
+    condition number of S, exceeds 1e12 (accuracy of the reduction
+    degrades); for the basis overlap at N = 400 it reads 400 (nu = 0) and
+    134 (nu = 2) against a condition number of 4.3e5 and 9.5e4.
     """
     c = _band_cholesky(np.asarray(p.s, dtype=float))
     piv = np.abs(c[0])
     if (piv.max() / piv.min()) ** 2 > _COND_WARN:
         warnings.warn(
-            "overlap matrix is badly conditioned (estimate %.2e); eigenvalues "
-            "may lose accuracy" % float((piv.max() / piv.min()) ** 2),
+            "overlap matrix is badly conditioned (condition number at least "
+            "%.2e); eigenvalues may lose accuracy" % float((piv.max() / piv.min()) ** 2),
             RuntimeWarning,
         )
-    # A = L^{-1} H L^{-T}; H is symmetric, so (L^{-1} H)^T = H L^{-T}
-    Y = _band_solve(c, np.asarray(p.h, dtype=float))
-    A = _band_solve(c, Y.T)
-    A = 0.5 * (A + A.T)
-    N = A.shape[0]
-    # Q^T A Q = T, tridiagonal (d, e).  A is symmetric, so A.T is the same
-    # matrix in the Fortran order that dsytrd overwrites without a copy.
-    lwork, info = dsytrd_lwork(N, lower=1)
+    A = _reduce(c, np.asarray(p.h, dtype=float))
+    # Q^T A Q = T, tridiagonal (d, e), from the lower triangle of A
+    lwork, info = dsytrd_lwork(A.shape[0], lower=1)
     _check_converged(info, "dsytrd_lwork")
-    QT, d, e, tau, info = dsytrd(A.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    QT, d, e, tau, info = dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_converged(info, "dsytrd")
     return c, QT, d, e, tau
 
@@ -171,8 +228,9 @@ def solve_pencil(p, eigvecs=False, below=np.inf):
     With eigvecs, every eigenvalue is returned together with the
     eigenvectors of those below `below` (all of them by default), as
     ascending columns; there may be none.  They are S-orthonormal
-    (f_i^T S f_j = delta_ij).  Emits a warning when the overlap condition
-    number estimate exceeds 1e12 (accuracy of the reduction degrades).
+    (f_i^T S f_j = delta_ij).  Emits a warning when the squared Cholesky
+    pivot ratio of S, a lower bound on its condition number, exceeds 1e12
+    (accuracy of the reduction degrades).
     """
     c, QT, d, e, tau = _tridiagonalize(p)
     N = len(d)
@@ -205,7 +263,8 @@ def lowest_eigenvalues(p, k):
 
     No eigenvectors are formed: after the one tridiagonalisation the levels
     come from Sturm-sequence bisection on T (dstebz), O(N k).  Emits the
-    same conditioning warning as solve_pencil.
+    same warning as solve_pencil when the squared Cholesky pivot ratio of
+    S, a lower bound on its condition number, exceeds 1e12.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -149,8 +149,12 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     Each grid point takes only the k lowest eigenvalues (no eigenvectors, no
     truncation guard).  With threads > 1 the points are solved on a thread
     pool, but scipy's LAPACK wrappers hold the GIL, so only the numpy part
-    of the solves (assembly, reduction) overlaps; the LAPACK calls run one
-    at a time, each on the BLAS thread pool.
+    of the solves (assembly, the prefix sums of the reduction) overlaps;
+    the LAPACK calls run one at a time, each on the BLAS thread pool.  On a
+    16-point Kratzer scan at N = 400, k = 3 (x86_64, 2 vCPU, medians of
+    15) two threads take 174-186 ms against 190-199 ms serially when BLAS
+    runs on one thread, and 186-200 ms against 163-187 ms on the default
+    BLAS pool, where the two levels of threads compete for the cores.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:

@@ -11,6 +11,8 @@ from trilag.eigen import (
     NotPositiveDefiniteError,
     Pencil,
     _band_cholesky,
+    _generators,
+    _reduce,
     lowest_eigenvalues,
     solve_pencil,
 )
@@ -235,3 +237,90 @@ class TestLowestEigenvalues:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             lowest_eigenvalues(_pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, 10)), 0)
+
+
+def _longdouble_reduction(c, h):
+    """L^{-1} H L^{-T} by two-sided forward substitution in longdouble, for
+    the bidiagonal band factor c."""
+    d = c[0].astype(np.longdouble)
+    l = c[1, :-1].astype(np.longdouble)
+    X = h.astype(np.longdouble)
+    for _ in range(2):
+        X[0] /= d[0]
+        for i in range(1, len(d)):
+            X[i] = (X[i] - l[i - 1] * X[i - 1]) / d[i]
+        X = X.T.copy()
+    return X
+
+
+# the pencils the prefix-sum reduction serves: name -> (params, lam, ell)
+REDUCTION_CASES = {
+    "kratzer_l1": (FAMILIES["kratzer"], 1.5, 1),
+    "morse_l1": (FAMILIES["morse"], 12.0, 1),
+    "cosine_l0": (FAMILIES["cosine"], 1.5, 0),
+}
+
+
+class TestPrefixSumReduction:
+    # elementwise against the longdouble reference on the same float64
+    # factor, relative to sqrt(A_nn A_mm); the worst case reads 3.5e-15
+    # (cosine, N = 800), and the band solves read at most 2.3e-15 here
+    @pytest.mark.parametrize("N", [100, 400, 800])
+    @pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
+    def test_lower_triangle_matches_longdouble(self, case, N):
+        params, lam, ell = REDUCTION_CASES[case]
+        p = _pencil(params, BasisSpec(lam, ell, N))
+        c = _band_cholesky(p.s)
+        assert _generators(c) is not None
+        ref = _longdouble_reduction(c, p.h)
+        A = _reduce(c, p.h)
+        assert A.flags.f_contiguous
+        diag = np.abs(np.diagonal(ref)).astype(float)
+        err = np.abs(A - ref).astype(float) / np.sqrt(np.outer(diag, diag))
+        assert np.tril(err).max() <= 1e-14
+
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_generators_invert_the_factor(self, ell):
+        # L X = I for X = tril(u v^T), to rounding of the products L X
+        c = _band_cholesky(overlap_matrix(BasisSpec(1.0, ell, 300)))
+        u, v = _generators(c)
+        L = np.diag(c[0]) + np.diag(c[1, :-1], -1)
+        X = np.tril(np.outer(u, v))
+        bound = 4 * np.finfo(float).eps * (np.abs(L) @ np.abs(X))
+        assert np.all(np.abs(L @ X - np.eye(300)) <= bound)
+
+
+def _tridiagonal_spd(N, seed, zero_at=None):
+    """Random symmetric h and a diagonally dominant tridiagonal s."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, N - 1)
+    if zero_at is not None:
+        off[zero_at] = 0.0
+    s = np.diag(rng.uniform(3.0, 4.0, N)) + np.diag(off, 1) + np.diag(off, -1)
+    G = rng.standard_normal((N, N))
+    return Pencil(G + G.T, s)
+
+
+# pencil -> whether the factor takes the prefix sums (else the band solves)
+PATH_CASES = {
+    "diagonal_s": (lambda: Pencil(_random_pencil(20, 4).h, np.diag(np.linspace(1.0, 5.0, 20))),
+                   False),
+    "N1": (lambda: Pencil(np.array([[-0.5]]), np.array([[2.0]])), False),
+    "N2_basis": (lambda: _pencil(FAMILIES["kratzer"], BasisSpec(1.5, 1, 2)), True),
+    "tridiagonal_s": (lambda: _tridiagonal_spd(40, 5), True),
+    "zero_subdiagonal": (lambda: _tridiagonal_spd(40, 5, zero_at=17), False),
+    # v spans about 1e165 here, so v v^T would overflow
+    "kratzer_l200_N800": (lambda: _pencil(KratzerParams(1.0, 1.0), BasisSpec(1.0, 200, 800)),
+                          False),
+}
+
+
+class TestReductionPathChoice:
+    @pytest.mark.parametrize("case", sorted(PATH_CASES))
+    def test_levels_match_scipy(self, case):
+        make, prefix = PATH_CASES[case]
+        p = make()
+        assert (_generators(_band_cholesky(p.s)) is not None) == prefix
+        ref = sla.eigh(p.h, p.s, eigvals_only=True)
+        np.testing.assert_allclose(solve_pencil(p), ref, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(ref).max()))
