@@ -4,6 +4,12 @@ The radial basis is phi_n(x) = a_n x^alpha e^{-x/2} L_n^nu(x) with x = lam*r,
 nu = 2|ell| and alpha = |ell| + 1/2.  In this basis the reference (kinetic +
 centrifugal) Hamiltonian H0 and the overlap S are both exactly tridiagonal;
 the basis is not orthogonal, so spectra come from the pencil H f = E S f.
+
+The library's own solves never form S or H0 as dense matrices: H0's three
+bands are added into the potential matrix in place (_add_h0), and S enters
+only through its Cholesky factor, which is lower bidiagonal in closed form
+(_overlap_factor).  overlap_matrix and h0_matrix give the dense matrices for
+callers that want them.
 """
 
 import math
@@ -53,15 +59,45 @@ class BasisSpec:
         return BasisSpec(lam=self.lam, ell=self.ell, size=int(size))
 
 
+def _bands(basis):
+    """Diagonal 2n+nu+1 and off-diagonal sqrt(n(n+nu)) shared by S and H0."""
+    n = np.arange(basis.size)
+    return 2 * n + basis.nu + 1.0, np.sqrt(n[1:] * (n[1:] + basis.nu))
+
+
+def _add_tridiagonal(M, diag, off):
+    """Add the symmetric tridiagonal matrix (diag, off) into M in place; returns M."""
+    n = np.arange(1, len(diag))
+    M[np.diag_indices(len(diag))] += diag
+    M[n, n - 1] += off
+    M[n - 1, n] += off
+    return M
+
+
 def overlap_matrix(basis):
     """Tridiagonal overlap S: diag 2n+nu+1, off-diagonal -sqrt(n(n+nu))."""
-    N, nu = basis.size, basis.nu
-    n = np.arange(N)
-    S = np.diag(2 * n + nu + 1.0)
-    off = -np.sqrt(n[1:] * (n[1:] + nu))
-    S[n[1:], n[1:] - 1] = off
-    S[n[1:] - 1, n[1:]] = off
-    return S
+    diag, off = _bands(basis)
+    return _add_tridiagonal(np.zeros((basis.size, basis.size)), diag, -off)
+
+
+def _overlap_factor(N, nu, dtype=float):
+    """Cholesky factor L of the overlap (S = L L^T) in LAPACK lower band storage.
+
+    L is lower bidiagonal in closed form: row 0 holds L[m, m] = sqrt(m+nu+1)
+    and row 1 L[m+1, m] = -sqrt(m+1), left-aligned with a trailing 0.
+    """
+    m = np.arange(N, dtype=dtype)
+    c = np.zeros((2, N), dtype=dtype)
+    c[0] = np.sqrt(m + nu + 1)
+    c[1, :-1] = -np.sqrt(m[1:])
+    return c
+
+
+def _add_h0(M, basis):
+    """Add the three bands of H0 into the square matrix M in place; returns M."""
+    diag, off = _bands(basis)
+    scale = basis.lam ** 2 / 8.0
+    return _add_tridiagonal(M, scale * diag, scale * off)
 
 
 def h0_matrix(basis):
@@ -70,10 +106,4 @@ def h0_matrix(basis):
     (H0)_nn = (lam^2/8)(2n+nu+1), off-diagonal +(lam^2/8) sqrt(n(n+nu)).
     Entries scale as lam^2 while the overlap is lam-independent.
     """
-    N, nu = basis.size, basis.nu
-    n = np.arange(N)
-    H = np.diag(2 * n + nu + 1.0)
-    off = np.sqrt(n[1:] * (n[1:] + nu))
-    H[n[1:], n[1:] - 1] = off
-    H[n[1:] - 1, n[1:]] = off
-    return (basis.lam ** 2 / 8.0) * H
+    return _add_h0(np.zeros((basis.size, basis.size)), basis)

@@ -5,14 +5,19 @@ pencil becomes the standard symmetric problem A = L^{-1} H L^{-T}, whose
 eigenvalues are the pencil eigenvalues and whose eigenvectors map back to
 S-orthonormal pencil eigenvectors through L^{-T}.
 
-The factor is taken in LAPACK band storage.  L has the lower bandwidth kd
-of S (the farthest nonzero subdiagonal), so the factorisation costs
-O(N kd^2).  The basis overlap is tridiagonal (kd = 1): its factor is lower
-bidiagonal, O(N) to compute, and L^{-1} is rank-one below the diagonal,
-L^{-1}[n, m] = u_n v_m for m <= n (a semiseparable matrix; Vandebril, Van
-Barel & Mastronardi, Matrix Computations and Semiseparable Matrices, 2008).
-Then A[i, j] = u_i u_j sum_{n <= i, m <= j} v_n v_m H[n, m] is two prefix
-sums over one N x N buffer, O(N^2).  Every other factor (kd != 1, a zero
+The factor is taken in LAPACK band storage, from the pencil
+(_tridiagonalize asks it for the factor and its H).  A Pencil's factor is
+computed from its s by dpbtrf: L has the lower bandwidth kd of S (the
+farthest nonzero subdiagonal), so the factorisation costs O(N kd^2).  The
+solver's own pencils (solver._pencil) never form S: the basis overlap is
+tridiagonal, its factor is lower bidiagonal in closed form
+(basis._overlap_factor), and their H, built for the one solve, is reduced
+in its own buffer.  For a bidiagonal factor (kd = 1) L^{-1} is rank-one
+below the diagonal, L^{-1}[n, m] = u_n v_m for m <= n (a semiseparable
+matrix; Vandebril, Van Barel & Mastronardi, Matrix Computations and
+Semiseparable Matrices, 2008).  Then
+A[i, j] = u_i u_j sum_{n <= i, m <= j} v_n v_m H[n, m] is two prefix sums
+over one N x N buffer, O(N^2).  Every other factor (kd != 1, a zero
 subdiagonal, or generators past the float64 range) takes two triangular
 band solves against N right-hand sides, O(N^2 kd); a dense S is simply the
 kd = N - 1 case.
@@ -71,6 +76,12 @@ class Pencil:
     def __post_init__(self):
         if self.h.shape != self.s.shape or self.h.ndim != 2:
             raise ValueError("pencil matrices must be square with equal shape")
+
+    def _operands(self):
+        """The band Cholesky factor of s, h, and whether the reduction may
+        overwrite h: never, h is the caller's."""
+        c = _band_cholesky(np.asarray(self.s, dtype=float))
+        return c, np.asarray(self.h, dtype=float), False
 
 
 def _check_info(info, routine):
@@ -169,9 +180,13 @@ def _generators(c):
     return u.astype(float), v.astype(float)
 
 
-def _reduce(c, h):
+def _reduce(c, h, overwrite_h=False):
     """A = L^{-1} H L^{-T} for the band factor c of S, in the Fortran order
-    dsytrd overwrites; only its lower triangle is guaranteed."""
+    dsytrd overwrites; only its lower triangle is guaranteed.
+
+    With overwrite_h the prefix sums run in h's own buffer, which then must
+    hold an exactly symmetric H (an F-ordered h is summed as its transpose).
+    """
     g = _generators(c)
     if g is None:
         # H is symmetric, so (L^{-1} H)^T = H L^{-T}
@@ -184,7 +199,11 @@ def _reduce(c, h):
     # runs over the longer index range (at N = 800, 3.5e-15 relative
     # against 5.4e-15 for the other order).
     u, v = g
-    W = np.multiply(h, v, order="C")
+    if overwrite_h:
+        W = h if h.flags.c_contiguous else h.T
+        W *= v
+    else:
+        W = np.multiply(h, v, order="C")
     W *= v[:, None]
     np.cumsum(W, axis=1, out=W)
     np.cumsum(W, axis=0, out=W)
@@ -196,16 +215,18 @@ def _reduce(c, h):
 def _tridiagonalize(p):
     """Reduce the pencil to the standard tridiagonal problem.
 
-    Returns (c, QT, d, e, tau): the band Cholesky factor c of S, and the
+    The pencil supplies the band Cholesky factor c of S and its H
+    (p._operands()).  Returns (c, QT, d, e, tau): that factor, and the
     dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T with diagonal d and
     subdiagonal e, the reflectors of Q stored below the subdiagonal of QT
     with their scalars tau.  Emits a warning when the squared ratio of the
     largest to the smallest Cholesky pivot, a lower bound on the 2-norm
     condition number of S, exceeds 1e12 (accuracy of the reduction
-    degrades); for the basis overlap at N = 400 it reads 400 (nu = 0) and
-    134 (nu = 2) against a condition number of 4.3e5 and 9.5e4.
+    degrades); for the basis overlap it is (N+nu)/(nu+1), so it cannot
+    fire there: at N = 400 it reads 400 (nu = 0) and 134 (nu = 2) against a
+    condition number of 4.3e5 and 9.5e4.
     """
-    c = _band_cholesky(np.asarray(p.s, dtype=float))
+    c, h, overwrite_h = p._operands()
     piv = np.abs(c[0])
     if (piv.max() / piv.min()) ** 2 > _COND_WARN:
         warnings.warn(
@@ -213,7 +234,7 @@ def _tridiagonalize(p):
             "%.2e); eigenvalues may lose accuracy" % float((piv.max() / piv.min()) ** 2),
             RuntimeWarning,
         )
-    A = _reduce(c, np.asarray(p.h, dtype=float))
+    A = _reduce(c, h, overwrite_h)
     # Q^T A Q = T, tridiagonal (d, e), from the lower triangle of A
     lwork, info = dsytrd_lwork(A.shape[0], lower=1)
     _check_converged(info, "dsytrd_lwork")

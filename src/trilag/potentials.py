@@ -32,13 +32,19 @@ The exponential kernel weighs its moments with one more power of x.  With
 L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is exp_matrix = B B^T, B = L_S C^',
 where C^' is the normalized connection matrix at nu+1 and L_S the
 closed-form bidiagonal factor of the overlap S = L_S L_S^T (at sigma = 1,
-C^' = I and the kernel is S); no gamma-function norms enter.  B has
+C^' = I and the kernel is S); no gamma-function norms enter.  L_S is
+read from basis._overlap_factor, in longdouble.  B has
 entries of both signs, so the kernel K = B B^T is accurate to about N eps
 relative to sqrt(K_nn K_mm), not elementwise.  Morse accumulates its two
 kernels into one lower triangle.
 
 Extended precision is used only in the O(N^2) build of C^ and B, by exact
 ratio recurrences in longdouble; every O(N^3) step is a float64 dsyrk.
+
+The Kratzer inverse-square matrix is rank one below the diagonal,
+(lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
+vectors built by the ratio recurrence a_n/a_{n-1} = sqrt(n/(n+nu)) in
+longdouble, with no gamma functions and no per-element exp.
 
 The cosine and sine wells -(A/r) cos(mu_im r) e^{-mu_re r} and
 +(A/r) sin(mu_im r) e^{-mu_re r} have no such cancellation-free form: the
@@ -62,6 +68,7 @@ from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsyrk
 from scipy.special import gammaln
 
+from .basis import _overlap_factor
 from .quadrature import _gauss_matrix, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
@@ -233,15 +240,15 @@ def _exp_factor(c, basis):
     """B with exp_matrix(c) = B B^T, as a float64 Fortran-ordered B^T.
 
     B = L_S C^', C^' the normalized connection matrix at nu+1 and L_S the overlap's
-    bidiagonal factor L[m, m] = sqrt(m+nu+1), L[m+1, m] = -sqrt(m+1) (as in
-    solver._tail_fractions); formed in longdouble, in place, before the cast.
+    closed-form bidiagonal factor (basis._overlap_factor); formed in
+    longdouble, in place, before the cast.
     """
     N, nu = basis.size, basis.nu
     C = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
-    k = np.arange(N, dtype=np.longdouble)[:, None]
-    lower = np.sqrt(k[1:]) * C[:-1]
-    C *= np.sqrt(k + nu + 1)
-    C[1:] -= lower
+    L = _overlap_factor(N, nu, np.longdouble)
+    lower = L[1, :-1, None] * C[:-1]
+    C *= L[0, :, None]
+    C[1:] += lower
     return C.astype(float).T
 
 
@@ -270,6 +277,9 @@ def morse_matrix(p, basis):
 # ---------------------------------------------------------------------------
 # Kratzer
 
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
 
 def kratzer_matrix(p, basis):
     """Kratzer potential matrix; requires |ell| >= 1.
@@ -279,6 +289,16 @@ def kratzer_matrix(p, basis):
     V2_nm = (lam B / 2) a_n a_m Gamma(min(n,m)+nu+1) / (nu min(n,m)!),
     obtained by telescoping L_n^nu into lower-index polynomials; it
     diverges for nu = 0, which is rejected.
+
+    Since a_m^2 = lam m!/Gamma(m+nu+1), the lower triangle (m <= n) is
+    (lam^2 B / 2 nu) a_n/a_m, rank one: the outer product of g a and 1/a,
+    with g = lam^2 B / 2 nu and a_n/a_0 = prod_{k<=n} sqrt(k/(k+nu)) taken in
+    longdouble, about 2 ulp per element.  The diagonal is set directly to
+    g - coulomb lam, so it is exactly zero where the two terms cancel.  When
+    some entry of the outer product would leave the normal float64 range
+    (at N = 800 and g near 1, from ell = 678 on), each lower-triangle
+    element is one exp of a difference of log-gamma norms instead, accurate
+    to about 1e-12 relative.
     """
     nu = basis.nu
     if nu == 0:
@@ -286,15 +306,20 @@ def kratzer_matrix(p, basis):
             "Kratzer elements require |ell| >= 1: the 1/r^2 integral diverges at nu = 0"
         )
     N = basis.size
-    loga = _log_norms(N, nu)
-    # a_m^2 = lam m!/Gamma(m+nu+1), so for m <= n the element is
-    # (lam^2 B / 2 nu) a_n/a_m: one exp per lower-triangle entry
-    V2 = np.exp(loga[:, None] - loga[None, :], out=np.zeros((N, N)),
-                where=np.tri(N, dtype=bool))
-    V2 *= basis.lam ** 2 * p.inverse_square / (2.0 * nu)
-    V = _symmetrize(V2)
-    V[np.diag_indices(N)] -= p.coulomb * basis.lam
-    return V
+    g = basis.lam ** 2 * p.inverse_square / (2.0 * nu)
+    k = np.arange(1, N, dtype=np.longdouble)
+    a = np.ones(N, dtype=np.longdouble)
+    np.cumprod(np.sqrt(k / (k + nu)), out=a[1:])
+    # a falls from a_0 = 1, so the outer product spans [g a_{N-1}, g / a_{N-1}]
+    if g * a[-1] >= _TINY and g / a[-1] <= _HUGE:
+        V = np.multiply.outer((g * a).astype(float), (1 / a).astype(float))
+    else:
+        loga = _log_norms(N, nu)
+        V = np.exp(loga[:, None] - loga[None, :], out=np.zeros((N, N)),
+                   where=np.tri(N, dtype=bool))
+        V *= g
+    V[np.diag_indices(N)] = g - p.coulomb * basis.lam
+    return _symmetrize(V)
 
 
 # ---------------------------------------------------------------------------

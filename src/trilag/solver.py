@@ -13,8 +13,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .basis import BasisSpec, h0_matrix, overlap_matrix
-from .eigen import Pencil, lowest_eigenvalues, solve_pencil
+from .basis import BasisSpec, _add_h0, _overlap_factor
+from .eigen import lowest_eigenvalues, solve_pencil
 from .potentials import (
     KratzerParams,
     MorseParams,
@@ -74,17 +74,34 @@ class SpectrumResult:
 def _tail_fractions(F, nu):
     """Share of each column's norm in the last GUARD_TAIL coefficients of
     Y = L^T F, where S = L L^T is the overlap."""
-    # the overlap's Cholesky factor is bidiagonal in closed form:
-    # L[m, m] = sqrt(m+nu+1), L[m+1, m] = -sqrt(m+1)
-    m = np.arange(F.shape[0])[:, None]
-    Y = np.sqrt(m + nu + 1.0) * F
-    Y[:-1] -= np.sqrt(m[1:]) * F[1:]
+    c = _overlap_factor(F.shape[0], nu)
+    Y = c[0, :, None] * F
+    Y[:-1] += c[1, :-1, None] * F[1:]
     return np.sum(Y[-GUARD_TAIL:] ** 2, axis=0) / np.sum(Y ** 2, axis=0)
 
 
+class _BasisPencil:
+    """The pencil (H, S) of a potential in the basis, for one solve.
+
+    S is never formed: the solve takes its Cholesky factor in closed form.
+    H is reduced in its own buffer, so a second solve raises.
+    """
+
+    def __init__(self, h, basis):
+        self.h = h
+        self.basis = basis
+
+    def _operands(self):
+        if self.h is None:
+            raise ValueError("this pencil was already solved: its H is reduced in place")
+        h, self.h = self.h, None
+        return _overlap_factor(self.basis.size, self.basis.nu), h, True
+
+
 def _pencil(potential, basis):
-    """The pencil (H0 + V, S) of the potential in the basis."""
-    return Pencil(h0_matrix(basis) + potential_matrix(potential, basis), overlap_matrix(basis))
+    """The pencil (H0 + V, S) of the potential in the basis: H0's three bands
+    are added into the fresh potential matrix in place."""
+    return _BasisPencil(_add_h0(potential_matrix(potential, basis), basis), basis)
 
 
 def bound_states(potential, basis):
@@ -152,9 +169,10 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     of the solves (assembly, the prefix sums of the reduction) overlaps;
     the LAPACK calls run one at a time, each on the BLAS thread pool.  On a
     16-point Kratzer scan at N = 400, k = 3 (x86_64, 2 vCPU, medians of
-    15) two threads take 174-186 ms against 190-199 ms serially when BLAS
-    runs on one thread, and 186-200 ms against 163-187 ms on the default
-    BLAS pool, where the two levels of threads compete for the cores.
+    15, two rounds) two threads take 145-165 ms against 139-150 ms serially
+    when BLAS runs on one thread, and 145-155 ms against 126-139 ms on the
+    default BLAS pool, where the two levels of threads compete for the
+    cores.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
-from trilag.eigen import Pencil, solve_pencil
+from trilag.basis import BasisSpec, _add_h0, _overlap_factor, h0_matrix, overlap_matrix
+from trilag.eigen import Pencil, _band_cholesky, solve_pencil
 
 
 class TestBasisSpec:
@@ -98,3 +98,64 @@ class TestH0:
         b = BasisSpec(1.5, ell, 60)
         w = solve_pencil(Pencil(h0_matrix(b), overlap_matrix(b)))
         assert np.all(w > 0)
+
+    @pytest.mark.parametrize("ell", [0, 1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 25, 800])
+    def test_bits_of_dense_formula(self, N, ell):
+        # the band adder against the dense formula it replaced, bit for bit
+        for lam in (0.3, 1.0, 2.7):
+            b = BasisSpec(lam, ell, N)
+            n = np.arange(N)
+            H = np.diag(2 * n + b.nu + 1.0)
+            off = np.sqrt(n[1:] * (n[1:] + b.nu))
+            H[n[1:], n[1:] - 1] = off
+            H[n[1:] - 1, n[1:]] = off
+            want = (lam ** 2 / 8.0) * H
+            assert h0_matrix(b).tobytes() == want.tobytes()
+
+    def test_bands_added_in_place(self):
+        b = BasisSpec(1.3, 2, 30)
+        M = np.arange(900.0).reshape(30, 30)
+        want = M + h0_matrix(b)
+        assert _add_h0(M, b) is M
+        np.testing.assert_array_equal(M, want)
+
+
+def _longdouble_overlap_bands(N, nu):
+    """Diagonal 2m+nu+1 and subdiagonal -sqrt((m+1)(m+1+nu)) of S, in longdouble."""
+    m = np.arange(N, dtype=np.longdouble)
+    return 2 * m + nu + 1, -np.sqrt((m[1:]) * (m[1:] + nu))
+
+
+class TestOverlapFactor:
+    # the closed-form lower bidiagonal factor in LAPACK band storage
+    @pytest.mark.parametrize("nu", [0, 2, 4, 200])
+    @pytest.mark.parametrize("N", [1, 2, 800])
+    def test_reproduces_overlap(self, N, nu):
+        # L L^T against the exact overlap, in longdouble: 2 ulp of float64
+        c = _overlap_factor(N, nu)
+        assert c.shape == (2, N) and c[1, -1] == 0.0
+        d, l = c[0].astype(np.longdouble), c[1, :-1].astype(np.longdouble)
+        diag = d * d
+        diag[1:] += l * l
+        want_diag, want_off = _longdouble_overlap_bands(N, nu)
+        ulp = np.spacing(1.0)
+        assert np.all(np.abs(diag - want_diag) <= 2 * ulp * want_diag)
+        assert np.all(np.abs(l * d[:-1] - want_off) <= 2 * ulp * np.abs(want_off))
+
+    @pytest.mark.parametrize("nu", [0, 2, 4, 200])
+    @pytest.mark.parametrize("N,ulps", [(1, 2), (2, 2), (800, 16)])
+    def test_matches_dpbtrf(self, N, ulps, nu):
+        # dpbtrf factors the float64 overlap, whose rounded off-diagonal
+        # moves its factor by up to 13 ulp at N = 800 (nu = 0); the
+        # closed form is the factor of the exact overlap
+        ref = _band_cholesky(overlap_matrix(BasisSpec(1.0, nu // 2, N)))
+        c = _overlap_factor(N, nu)
+        k = ref.shape[0]
+        assert np.all(np.abs(c[:k] - ref) <= ulps * np.spacing(np.abs(ref)))
+        assert not c[k:].any()
+
+    def test_longdouble(self):
+        c = _overlap_factor(5, 2.0, np.longdouble)
+        assert c.dtype == np.longdouble
+        np.testing.assert_allclose(c.astype(float), _overlap_factor(5, 2.0), rtol=1e-16, atol=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
+from trilag.basis import BasisSpec, _overlap_factor, h0_matrix, overlap_matrix
 from trilag.eigen import (
     NotPositiveDefiniteError,
     Pencil,
@@ -17,7 +17,7 @@ from trilag.eigen import (
     solve_pencil,
 )
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams, kratzer_matrix
-from trilag.solver import _pencil, bound_states
+from trilag.solver import _pencil, bound_states, potential_matrix
 
 
 class TestCholesky:
@@ -197,17 +197,24 @@ FAMILIES = {
 }
 
 
+def _dense_pencil(params, b):
+    """The public dense pencil (H0 + V, S) of a potential in the basis."""
+    return Pencil(h0_matrix(b) + potential_matrix(params, b), overlap_matrix(b))
+
+
 class TestLowestEigenvalues:
     # bisection on the tridiagonal T against dsterf's full spectrum of the
-    # same T; the worst gap over these cases is 2.7 eps max|w|
+    # same T (the solver's pencil is built afresh for each solve, since a
+    # solve reduces its H in place); the worst gap over these cases is
+    # 2.7 eps max|w|
     @pytest.mark.parametrize("N", [1, 2, 100, 400])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_full_spectrum(self, family, N):
-        p = _pencil(FAMILIES[family], BasisSpec(1.5, 1, N))
-        w = solve_pencil(p)
+        b = BasisSpec(1.5, 1, N)
+        w = solve_pencil(_pencil(FAMILIES[family], b))
         tol = 8 * np.finfo(float).eps * np.abs(w).max()
         for k in sorted({1, 3, N}):
-            low = lowest_eigenvalues(p, k)
+            low = lowest_eigenvalues(_pencil(FAMILIES[family], b), k)
             assert low.shape == (min(k, N),)
             np.testing.assert_allclose(low, w[:k], rtol=0, atol=tol)
 
@@ -216,15 +223,16 @@ class TestLowestEigenvalues:
         # at a large scale ||T|| ~ 6e5 while the levels are ~0.1: bisection
         # stopped at eps ||T|| (abstol = 0) is 2e-11 to 4e-11 off here, at
         # LAPACK's maximal-accuracy abstol within 6e-14 of dsterf
-        p = _pencil(KratzerParams(coulomb=1.0, inverse_square=1.0), BasisSpec(lam, 1, 400))
-        np.testing.assert_allclose(lowest_eigenvalues(p, 3), solve_pencil(p)[:3],
-                                   rtol=0, atol=1e-12)
+        b = BasisSpec(lam, 1, 400)
+        p = KratzerParams(coulomb=1.0, inverse_square=1.0)
+        np.testing.assert_allclose(lowest_eigenvalues(_pencil(p, b), 3),
+                                   solve_pencil(_pencil(p, b))[:3], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("N", [1, 2, 30])
     def test_k_beyond_size_returns_every_level(self, N):
-        p = _pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, N))
-        w = solve_pencil(p)
-        low = lowest_eigenvalues(p, N + 5)
+        b = BasisSpec(1.0, 1, N)
+        w = solve_pencil(_pencil(FAMILIES["kratzer"], b))
+        low = lowest_eigenvalues(_pencil(FAMILIES["kratzer"], b), N + 5)
         assert low.shape == w[:N + 5].shape == (N,)
         np.testing.assert_allclose(low, w, rtol=0, atol=8 * np.finfo(float).eps * np.abs(w).max())
 
@@ -263,14 +271,16 @@ REDUCTION_CASES = {
 
 class TestPrefixSumReduction:
     # elementwise against the longdouble reference on the same float64
-    # factor, relative to sqrt(A_nn A_mm); the worst case reads 3.5e-15
-    # (cosine, N = 800), and the band solves read at most 2.3e-15 here
+    # factor (the closed form the solver's pencil takes), relative to
+    # sqrt(A_nn A_mm); the worst case reads 3.5e-15 (cosine, N = 800), and
+    # the band solves read at most 2.3e-15 here
     @pytest.mark.parametrize("N", [100, 400, 800])
     @pytest.mark.parametrize("case", sorted(REDUCTION_CASES))
     def test_lower_triangle_matches_longdouble(self, case, N):
         params, lam, ell = REDUCTION_CASES[case]
-        p = _pencil(params, BasisSpec(lam, ell, N))
-        c = _band_cholesky(p.s)
+        b = BasisSpec(lam, ell, N)
+        p = _pencil(params, b)
+        c = _overlap_factor(N, b.nu)
         assert _generators(c) is not None
         ref = _longdouble_reduction(c, p.h)
         A = _reduce(c, p.h)
@@ -306,12 +316,12 @@ PATH_CASES = {
     "diagonal_s": (lambda: Pencil(_random_pencil(20, 4).h, np.diag(np.linspace(1.0, 5.0, 20))),
                    False),
     "N1": (lambda: Pencil(np.array([[-0.5]]), np.array([[2.0]])), False),
-    "N2_basis": (lambda: _pencil(FAMILIES["kratzer"], BasisSpec(1.5, 1, 2)), True),
+    "N2_basis": (lambda: _dense_pencil(FAMILIES["kratzer"], BasisSpec(1.5, 1, 2)), True),
     "tridiagonal_s": (lambda: _tridiagonal_spd(40, 5), True),
     "zero_subdiagonal": (lambda: _tridiagonal_spd(40, 5, zero_at=17), False),
     # v spans about 1e165 here, so v v^T would overflow
-    "kratzer_l200_N800": (lambda: _pencil(KratzerParams(1.0, 1.0), BasisSpec(1.0, 200, 800)),
-                          False),
+    "kratzer_l200_N800": (lambda: _dense_pencil(KratzerParams(1.0, 1.0),
+                                                BasisSpec(1.0, 200, 800)), False),
 }
 
 

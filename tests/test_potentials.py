@@ -337,6 +337,18 @@ class TestMorse:
         assert float(np.max(np.abs(morse_matrix(p, b) - ref) / scale)) <= 1e-14
 
 
+def _kratzer_reference(p, basis):
+    """Kratzer matrix in longdouble: g exp(log a_n - log a_m) for m <= n,
+    log(a_n / a_0) = sum_{k <= n} log(k / (k + nu)) / 2."""
+    N, nu = basis.size, basis.nu
+    k = np.arange(1, N, dtype=np.longdouble)
+    loga = np.zeros(N, dtype=np.longdouble)
+    np.cumsum(0.5 * np.log(k / (k + nu)), out=loga[1:])
+    g = np.longdouble(basis.lam) ** 2 * p.inverse_square / (2 * nu)
+    V2 = np.tril(g * np.exp(loga[:, None] - loga[None, :]))
+    return V2 + np.tril(V2, -1).T - p.coulomb * basis.lam * np.eye(N)
+
+
 class TestKratzer:
     def test_nu_zero_rejected(self):
         with pytest.raises(ValueError, match="ell"):
@@ -361,19 +373,53 @@ class TestKratzer:
     @pytest.mark.parametrize("ell,lam", [(1, 0.6), (2, 0.3), (5, 1.8)])
     def test_matches_gamma_formula(self, ell, lam):
         # the norm-ratio assembly against the closed form as written,
-        # (lam B / 2 nu) a_n a_m Gamma(min+nu+1) / min!, in log-gamma space
+        # (lam B / 2 nu) a_n a_m Gamma(min+nu+1) / min!, in log-gamma space.
+        # lg[m] = log Gamma(m+nu+1) - log m! is summed in longdouble: float64
+        # gammaln differences near m = 400 are off by up to ~1e-12, relative
         from scipy.special import gammaln
 
         p = KratzerParams(coulomb=1.0, inverse_square=5.0)
         b = BasisSpec(lam=lam, ell=ell, size=400)
         n = np.arange(400)
-        loga = 0.5 * (gammaln(n + 1.0) - gammaln(n + b.nu + 1.0))
+        k = np.arange(1, 400, dtype=np.longdouble)
+        lg = np.full(400, gammaln(b.nu + 1.0), dtype=np.longdouble)
+        lg[1:] += np.cumsum(np.log((k + b.nu) / k))
+        loga = -0.5 * lg
         mn = np.minimum.outer(n, n)
-        lgm = gammaln(mn + b.nu + 1.0) - gammaln(mn + 1.0)
         norm_outer = lam * np.exp(loga[:, None] + loga[None, :])
-        V2 = (lam * p.inverse_square / 2.0) * norm_outer * np.exp(lgm) / b.nu
-        want = V2 - p.coulomb * lam * np.eye(400)
+        V2 = (lam * p.inverse_square / 2.0) * norm_outer * np.exp(lg[mn]) / b.nu
+        want = (V2 - p.coulomb * lam * np.eye(400)).astype(float)
         np.testing.assert_allclose(kratzer_matrix(p, b), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("ell", [1, 2, 10, 60, 200])
+    @pytest.mark.parametrize("N", [1, 2, 100, 800])
+    def test_outer_product_matches_exp_of_differences(self, ell, N):
+        # the rank-one lower triangle g a_n/a_m against one exp per element
+        # of a difference of log a_n, summed in longdouble
+        p = KratzerParams(coulomb=1.3, inverse_square=5.0)
+        b = BasisSpec(0.7, ell, N)
+        want = _kratzer_reference(p, b)
+        V = kratzer_matrix(p, b)
+        np.testing.assert_array_equal(V, V.T)
+        np.testing.assert_allclose(V, want.astype(float), rtol=1e-14, atol=0)
+
+    def test_cancelling_diagonal_is_exact(self):
+        # g = lam^2 B / 2 nu = 4 = coulomb lam: the diagonal is exactly zero
+        V = kratzer_matrix(KratzerParams(coulomb=1.0, inverse_square=1.0), BasisSpec(4.0, 1, 50))
+        assert not np.diag(V).any()
+
+    @pytest.mark.parametrize("ell", [700, 1000])
+    def test_range_fallback_is_finite(self, ell):
+        # a_{N-1}/a_0 falls below the float64 range from ell = 678 on at N = 800:
+        # one exp of a log-norm difference per element, as before
+        p = KratzerParams(coulomb=1.0, inverse_square=1.0)
+        b = BasisSpec(1.0, ell, 800)
+        V = kratzer_matrix(p, b)
+        assert np.isfinite(V).all()
+        np.testing.assert_array_equal(V, V.T)
+        want = _kratzer_reference(p, b)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        np.testing.assert_allclose(V[normal], want[normal].astype(float), rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("B,ell,lam", [
         (50.0, 1, 0.6), (1.0, 2, 1.8), (5.0, 5, 0.4), (0.1, 1, 3.0),

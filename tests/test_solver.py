@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from trilag import basis as basis_module
 from trilag import eigen, solver
 from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
-from trilag.eigen import Pencil, solve_pencil
+from trilag.eigen import Pencil, lowest_eigenvalues, solve_pencil
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
 from trilag.solver import (
     GUARD_FRACTION,
     GUARD_TAIL,
     ZERO_BAND,
+    _pencil,
     _tail_fractions,
     bound_states,
     converge_in_n,
@@ -218,5 +220,99 @@ class TestDriversReadEigenvaluesOnly:
         assert table.traces.shape == (3, 2)
 
     def test_critical_screening(self, no_vectors):
+        dc = critical_screening(cos_yukawa(0.1), ell=0, level=1, bracket=(0.2, 0.5))
+        assert dc == 0.32095947265625
+
+
+STRUCTURED_FAMILIES = {
+    "kratzer": KratzerParams(coulomb=1.0, inverse_square=5.0),
+    "classical": YukawaParams(strength=1.0, mu_re=0.5, variant="classical"),
+    "cosine": cos_yukawa(0.5),
+    "sine": YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.3, variant="sine"),
+    "sine_unscreened": YukawaParams(strength=1.0, mu_re=0.5, variant="sine"),
+    "morse": MORSE_WELL,
+}
+
+
+class TestStructuredPencil:
+    # the solver's pencil (H0's bands added into V, the overlap's factor in
+    # closed form) against the public dense pencil of the same matrices;
+    # the worst case reads 4.2e-13 max|E| (ell = 0, N = 400), where the
+    # dense side's dpbtrf factor is 13 ulp off the exact one
+    @pytest.mark.parametrize("N", [1, 2, 3, 100, 400])
+    @pytest.mark.parametrize("family,ell", [
+        (family, ell) for family in sorted(STRUCTURED_FAMILIES) for ell in (0, 1, 2)
+        if (family, ell) != ("kratzer", 0)  # the 1/r^2 integral diverges at ell = 0
+    ])
+    def test_matches_dense_pencil(self, family, ell, N):
+        params = STRUCTURED_FAMILIES[family]
+        b = BasisSpec(1.5, ell, N)
+        dense = Pencil(h0_matrix(b) + potential_matrix(params, b), overlap_matrix(b))
+        ref, F_ref = solve_pencil(dense, eigvecs=True, below=-ZERO_BAND)
+        tol = 1e-12 * np.abs(ref).max()
+        w, F = solve_pencil(_pencil(params, b), eigvecs=True, below=-ZERO_BAND)
+        np.testing.assert_allclose(w, ref, rtol=0, atol=tol)
+        assert F.shape == F_ref.shape
+        k = min(3, N)
+        np.testing.assert_allclose(lowest_eigenvalues(_pencil(params, b), k), ref[:k],
+                                   rtol=0, atol=tol)
+
+    def test_solve_takes_the_pencil_once(self):
+        # the solve reduces the pencil's H in its own buffer
+        p = _pencil(KRATZER_B1, BasisSpec(1.0, 1, 20))
+        lowest_eigenvalues(p, 1)
+        with pytest.raises(ValueError, match="already solved"):
+            lowest_eigenvalues(p, 1)
+
+    def test_dense_pencil_left_intact(self):
+        b = BasisSpec(1.0, 1, 50)
+        H = h0_matrix(b) + potential_matrix(KRATZER_B1, b)
+        S = overlap_matrix(b)
+        H0, S0 = H.copy(), S.copy()
+        solve_pencil(Pencil(H, S))
+        lowest_eigenvalues(Pencil(H, S), 3)
+        np.testing.assert_array_equal(H, H0)
+        np.testing.assert_array_equal(S, S0)
+
+
+class TestNoDenseOverlapOrH0:
+    # bound_states and the three drivers form no dense S or H0 and factor
+    # nothing: the overlap's factor is known in closed form
+    @pytest.fixture
+    def no_dense(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a dense S or H0 was formed, or S was factored")
+
+        monkeypatch.setattr(eigen, "_band_cholesky", fail)
+        monkeypatch.setattr(eigen, "dpbtrf", fail)
+        monkeypatch.setattr(basis_module, "overlap_matrix", fail)
+        monkeypatch.setattr(basis_module, "h0_matrix", fail)
+
+    def test_patch_reaches_dense_pencil(self, no_dense):
+        b = BasisSpec(1.0, 0, 10)
+        with pytest.raises(AssertionError):
+            solve_pencil(Pencil(np.eye(10), np.eye(10)))
+        with pytest.raises(AssertionError):
+            basis_module.overlap_matrix(b)
+
+    def test_bound_states(self, no_dense):
+        r = bound_states(cos_yukawa(0.5), BasisSpec(lam=2.0, ell=0, size=100))
+        assert -r.bound[0] == pytest.approx(1.5123062833952, abs=1e-11)
+
+    def test_truncation_guard(self, no_dense):
+        potential, basis, suspect = TestTruncationGuard.CASES[0]
+        assert bound_states(potential, basis).suspect == suspect
+
+    def test_lambda_scan(self, no_dense):
+        report = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 100),
+                             np.arange(1.0, 5.01, 0.5), k=1, threads=2)
+        assert report.plateau == (1.0, 5.0)
+
+    def test_converge_in_n(self, no_dense):
+        p = KratzerParams(coulomb=1.0, inverse_square=50.0)
+        table = converge_in_n(p, BasisSpec(0.6, 1, 100), range(20, 101, 40), k=2)
+        assert table.traces.shape == (3, 2)
+
+    def test_critical_screening(self, no_dense):
         dc = critical_screening(cos_yukawa(0.1), ell=0, level=1, bracket=(0.2, 0.5))
         assert dc == 0.32095947265625
