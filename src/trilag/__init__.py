@@ -4,8 +4,9 @@ The basis renders the reference Hamiltonian and the overlap tridiagonal
 while three potential families (screened Coulomb / Yukawa, Kratzer,
 generalized Morse) get closed-form or Gauss-assembled potential matrices,
 so spectra reduce to a symmetric-definite generalized eigenproblem.  A
-generalized Gauss-Laguerre quadrature oracle independently validates every
-assembled matrix element.
+generalized Gauss-Laguerre quadrature oracle, quad_potential_matrix,
+independently assembles the full potential matrix as one Gauss product on
+the orthonormal Laguerre table and validates every assembled element.
 """
 
 from .basis import BasisSpec, h0_matrix, overlap_matrix
@@ -21,7 +22,7 @@ from .potentials import (
     radial_function,
     yukawa_matrix,
 )
-from .quadrature import QuadRule, gauss_laguerre_rule, quad_matrix_element, quad_potential_matrix
+from .quadrature import QuadRule, gauss_laguerre_rule, quad_potential_matrix
 from .solver import (
     ConvergenceTable,
     PlateauReport,
@@ -60,7 +61,6 @@ __all__ = [
     "oracle_weight_nu",
     "overlap_matrix",
     "potential_matrix",
-    "quad_matrix_element",
     "quad_potential_matrix",
     "radial_function",
     "solve_pencil",

@@ -1,9 +1,11 @@
 """Laguerre basis configuration and its two structural matrices.
 
 The radial basis is phi_n(x) = a_n x^alpha e^{-x/2} L_n^nu(x) with x = lam*r,
-nu = 2|ell| and alpha = |ell| + 1/2.  In this basis the reference (kinetic +
-centrifugal) Hamiltonian H0 and the overlap S are both exactly tridiagonal;
-the basis is not orthogonal, so spectra come from the pencil H f = E S f.
+nu = 2|ell|, alpha = |ell| + 1/2 and the norm a_n = sqrt(lam n!/Gamma(n+nu+1)).
+In this basis the reference (kinetic + centrifugal) Hamiltonian H0 and the
+overlap S are both exactly tridiagonal; the basis is not orthogonal, so
+spectra come from the pencil H f = E S f.  The norms a_n enter the potential
+matrices only inside their closed forms and the oracle's orthonormal table.
 
 The library's own solves never form S or H0 as dense matrices: H0's three
 bands are added into the potential matrix in place (_add_h0), and S enters
@@ -17,8 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import norm_coeff
 
 __all__ = ["BasisSpec", "overlap_matrix", "h0_matrix"]
 
@@ -48,9 +48,6 @@ class BasisSpec:
     @property
     def alpha(self):
         return abs(self.ell) + 0.5
-
-    def norm_coeff(self, n):
-        return norm_coeff(n, self.nu, self.lam)
 
     def with_lam(self, lam):
         return BasisSpec(lam=float(lam), ell=self.ell, size=self.size)

@@ -166,6 +166,8 @@ def _dump_config(cfg):
 
 
 def cmd_solve(cfg):
+    if cfg["k"] is not None and cfg["k"] < 1:
+        raise ConfigError("k must be >= 1")
     potential = _build_potential(cfg)
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=cfg["N"])
     result = bound_states(potential, basis)

@@ -66,7 +66,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsyrk
-from scipy.special import gammaln
 
 from .basis import _overlap_factor
 from .quadrature import _gauss_matrix, _symmetrize, gauss_laguerre_rule
@@ -176,12 +175,6 @@ def _normalized_connection(N, nu, sigma):
     np.cumprod(R, axis=0, out=R)
     np.copyto(R, 0, where=~np.tri(N, dtype=bool))  # the ones above the diagonal
     return R
-
-
-def _log_norms(N, nu):
-    """log(a_n / sqrt(lam)) = (log n! - log Gamma(n+nu+1)) / 2."""
-    n = np.arange(N)
-    return 0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +289,8 @@ def kratzer_matrix(p, basis):
     longdouble, about 2 ulp per element.  The diagonal is set directly to
     g - coulomb lam, so it is exactly zero where the two terms cancel.  When
     some entry of the outer product would leave the normal float64 range
-    (at N = 800 and g near 1, from ell = 678 on), each lower-triangle
-    element is one exp of a difference of log-gamma norms instead, accurate
-    to about 1e-12 relative.
+    (at N = 800 and g near 1, from ell = 678 on), the product is formed in
+    longdouble and only its lower triangle, which is at most g, is cast.
     """
     nu = basis.nu
     if nu == 0:
@@ -314,10 +306,9 @@ def kratzer_matrix(p, basis):
     if g * a[-1] >= _TINY and g / a[-1] <= _HUGE:
         V = np.multiply.outer((g * a).astype(float), (1 / a).astype(float))
     else:
-        loga = _log_norms(N, nu)
-        V = np.exp(loga[:, None] - loga[None, :], out=np.zeros((N, N)),
-                   where=np.tri(N, dtype=bool))
-        V *= g
+        # above the diagonal g a_n/a_m would overflow the cast to float64
+        V = np.multiply.outer(g * a, 1 / a, out=np.zeros((N, N), np.longdouble),
+                              where=np.tri(N, dtype=bool)).astype(float)
     V[np.diag_indices(N)] = g - p.coulomb * basis.lam
     return _symmetrize(V)
 

@@ -1,4 +1,4 @@
-"""Generalized Gauss-Laguerre rules and the numerical matrix-element oracle.
+"""Generalized Gauss-Laguerre rules and the numerical potential-matrix oracle.
 
 The rule with weight x^nu e^{-x} starts from the float64 eigenvalues (no
 eigenvectors) of the symmetric Jacobi matrix of the Laguerre recurrence
@@ -9,15 +9,17 @@ adds that noise.  Weights come from the derivative-free identity
 
     w_i = Gamma(order+nu+1) x_i / (order! (order+1)^2 L_{order+1}^nu(x_i)^2)
 
-evaluated in log space with an overflow-scaled recurrence, because the
-eigenvector-based weights lose all relative accuracy for the tiny weights
-in the far tail.  Weights are stored in extended precision so every one of
-them is positive and nonzero up to order ~600.
+evaluated in log space with an overflow-scaled recurrence
+(specfun._laguerre_pair_scaled), because the eigenvector-based weights lose
+all relative accuracy for the tiny weights in the far tail.  Only the
+log-weights are stored, in extended precision, so every weight is positive
+and nonzero up to order ~600.
 
 A rule assembles a potential matrix as the float64 BLAS product
 V = (Q*f) @ Q.T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q holding the
-orthonormal Laguerre functions at the nodes, built in extended precision.  The
-oracle and the cosine and sine Yukawa wells (potentials) share it: _gauss_matrix.
+orthonormal Laguerre functions at the nodes, built in extended precision.  That
+product, _gauss_matrix, is the rule's one consumer: the oracle
+quad_potential_matrix and the cosine and sine Yukawa wells (potentials) call it.
 """
 
 import threading
@@ -28,24 +30,22 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dsyrk
 from scipy.special import gammaln
 
-from .specfun import laguerre_seq
+from .specfun import _laguerre_pair_scaled
 
-__all__ = ["QuadRule", "gauss_laguerre_rule", "quad_matrix_element", "quad_potential_matrix"]
+__all__ = ["QuadRule", "gauss_laguerre_rule", "quad_potential_matrix"]
 
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and weights integrating f against x^nu e^{-x} on (0, inf)."""
+    """Nodes and log-weights of a Gauss rule for the weight x^nu e^{-x} on (0, inf).
+
+    sum_i exp(log_weights[i]) f(nodes[i]) integrates f against the weight.
+    """
 
     order: int
     nu: float
     nodes: np.ndarray        # float64, strictly increasing, > 0
-    weights: np.ndarray      # longdouble, all > 0
-    log_weights: np.ndarray  # longdouble, ln(weights)
-
-    def integrate(self, f_values):
-        """Sum w_i f(x_i) for precomputed integrand values at the nodes."""
-        return float(np.sum(self.weights * np.asarray(f_values, dtype=np.longdouble)))
+    log_weights: np.ndarray  # longdouble, ln(w_i); every w_i > 0
 
 
 def _symmetrize(M):
@@ -90,36 +90,6 @@ _rule_cache = {}
 _rule_lock = threading.Lock()
 
 
-# steps between overflow tests in _laguerre_pair_scaled: a step grows the pair
-# by less than 2 order + nu + 2 (below 2^13 up to order ~1700), far inside the
-# 2^8384 headroom above the 2^8000 threshold
-_RESCALE_STEPS = 32
-
-
-def _laguerre_pair_scaled(nmax, nu, x):
-    """(L_{nmax-1}, L_nmax, expo) at x, each stored as mantissa * 2**expo.
-
-    Extended-precision upward recurrence with explicit renormalization so
-    that polynomial values of magnitude far beyond the longdouble range
-    stay representable (needed for the far-tail nodes of high orders).
-    """
-    x = np.asarray(x, np.longdouble)
-    m0 = np.ones_like(x)
-    expo = np.zeros_like(x)
-    m1 = (1.0 + nu - x).astype(np.longdouble)
-    big = np.longdouble(2.0) ** 8000
-    for k in range(1, nmax):
-        m0, m1 = m1, ((2 * k + nu + 1 - x) * m1 - (k + nu) * m0) / (k + 1)
-        if k % _RESCALE_STEPS == 0:
-            over = np.maximum(np.abs(m0), np.abs(m1)) > big
-            if over.any():
-                scale = np.where(over, 1 / big, np.longdouble(1.0))
-                m0 = m0 * scale
-                m1 = m1 * scale
-                expo = expo + np.where(over, 8000, 0)
-    return m0, m1, expo
-
-
 def gauss_laguerre_rule(order, nu):
     """Gauss rule of the given order for the weight x^nu e^{-x}.
 
@@ -157,7 +127,6 @@ def gauss_laguerre_rule(order, nu):
         order=int(order),
         nu=float(nu),
         nodes=x.astype(float),
-        weights=np.exp(log_w),
         log_weights=log_w,
     )
     with _rule_lock:
@@ -165,65 +134,29 @@ def gauss_laguerre_rule(order, nu):
     return rule
 
 
-def default_oracle_order(basis, n, m):
-    """Default rule order for validating an (n, m) element.
-
-    The element integrands are weight times an entire function,
-    so the Gauss error decays geometrically; the margin covers slowly
-    decaying exponents.
-    """
-    return max(300, int(n + m + basis.nu + 50))
-
-
-def quad_matrix_element(v, basis, n, m, order=None, weight_nu=None):
-    """Numerical element <phi_n| v |phi_m> by generalized Gauss-Laguerre.
+def quad_potential_matrix(v, basis, order=None, weight_nu=None):
+    """Full size x size numerical potential matrix <phi_n| v |phi_m>.
 
     v is the radial potential r -> v(r).  The basis functions contribute
     x^{2 alpha} e^{-x} L_n L_m; the rule carries weight x^{weight_nu} e^{-x}
-    (default nu) and the residual power x^{2 alpha - weight_nu} rides along
-    with v in the integrand.  For potentials with an integrable power
-    singularity at the origin, pass a lowered weight_nu so the singular
-    factor is absorbed into the weight and the remaining integrand is
-    smooth (e.g. weight_nu = nu - 1 for a 1/r^2 term).
-
-    Symmetric in (n, m) by construction.
-    """
-    if n >= basis.size or m >= basis.size or n < 0 or m < 0:
-        raise ValueError("element indices must satisfy 0 <= n, m < basis.size")
-    if order is None:
-        order = default_oracle_order(basis, n, m)
-    if weight_nu is None:
-        weight_nu = basis.nu
-    rule = gauss_laguerre_rule(order, weight_nu)
-    x = rule.nodes
-    vals = np.asarray(v(x / basis.lam), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmin(np.isfinite(vals)))
-        raise ValueError(
-            "potential evaluated non-finite at quadrature node x=%r (r=%r)"
-            % (x[bad], x[bad] / basis.lam)
-        )
-    L = laguerre_seq(max(n, m), basis.nu, x)
-    # fixed product order keeps the result bit-identical under (n, m) swap
-    lo, hi = min(n, m), max(n, m)
-    integrand = x ** (2 * basis.alpha - weight_nu) * (L[lo] * L[hi]) * vals
-    an = basis.norm_coeff(n)
-    am = basis.norm_coeff(m)
-    return an * am / basis.lam * rule.integrate(integrand)
-
-
-def quad_potential_matrix(v, basis, order=None, weight_nu=None):
-    """Full size x size numerical potential matrix for the radial function v.
-
-    The basis norms turn the element integrand of quad_matrix_element into
+    (default nu).  For potentials with an integrable power singularity at the
+    origin, pass a lowered weight_nu so the singular factor is absorbed into
+    the weight and the remaining integrand is smooth (e.g. weight_nu = nu - 1
+    for a 1/r^2 term).  The basis norms turn the element integrand into
     w_i x_i^{nu - weight_nu} f_i p_n(x_i) p_m(x_i), with f = x^{2 alpha - nu}
     v(x/lam) and p_n the orthonormal Laguerre polynomials, so the matrix is
     one Gauss product _gauss_matrix: O(order * size) recurrence steps in
     extended precision and a float64 product of O(order * size^2 / 2).
+
+    The integrands are weight times an entire function, so the Gauss error
+    decays geometrically.  The default order, at least 300, is the degree
+    2 size - 2 of the last element's polynomial part plus a margin nu + 50
+    for slowly decaying exponents.  A potential that is not finite at some
+    node raises ValueError naming that node.
     """
     N, nu = basis.size, basis.nu
     if order is None:
-        order = default_oracle_order(basis, N - 1, N - 1)
+        order = max(300, int(2 * N + nu + 48))
     if weight_nu is None:
         weight_nu = nu
     rule = gauss_laguerre_rule(order, weight_nu)

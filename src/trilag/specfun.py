@@ -1,45 +1,40 @@
-"""Scalar special-function kernels.
+"""The Laguerre recurrence behind the Gauss-Laguerre rule.
 
-Everything here is a small, pure building block used by the matrix-element
-formulas and the quadrature oracle: generalized Laguerre polynomial
-sequences and basis normalization coefficients.
+One private kernel: the upward three-term recurrence of the generalized
+Laguerre polynomials in extended precision, renormalized so that values far
+beyond the longdouble range stay representable.  quadrature.gauss_laguerre_rule
+evaluates L_order^nu and L_{order+1}^nu at its nodes with it, for the Newton
+step and for the weights.
 """
 
-import math
-
 import numpy as np
-from scipy.special import gammaln
 
 
-def laguerre_seq(n_max, nu, x):
-    """Values L_0^nu(x) .. L_{n_max}^nu(x) by the upward three-term recurrence.
+# steps between overflow tests in _laguerre_pair_scaled: a step grows the pair
+# by less than 2 order + nu + 2 (below 2^13 up to order ~1700), far inside the
+# 2^8384 headroom above the 2^8000 threshold
+_RESCALE_STEPS = 32
 
-    x may be a scalar or an ndarray; the result has shape
-    (n_max+1,) + shape(x).  The recurrence
-    (k+1) L_{k+1} = (2k+nu+1-x) L_k - (k+nu) L_{k-1}
-    is stable in the oscillatory region sampled by quadrature nodes.
+
+def _laguerre_pair_scaled(nmax, nu, x):
+    """(L_{nmax-1}, L_nmax, expo) at x, each stored as mantissa * 2**expo.
+
+    Extended-precision upward recurrence with explicit renormalization so
+    that polynomial values of magnitude far beyond the longdouble range
+    stay representable (needed for the far-tail nodes of high orders).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    x = np.asarray(x)
-    dtype = np.result_type(x.dtype, float)
-    x = x.astype(dtype)
-    L = np.empty((n_max + 1,) + x.shape, dtype=dtype)
-    L[0] = 1.0
-    if n_max >= 1:
-        L[1] = 1.0 + nu - x
-    for k in range(1, n_max):
-        L[k + 1] = ((2 * k + nu + 1 - x) * L[k] - (k + nu) * L[k - 1]) / (k + 1)
-    return L
-
-
-def norm_coeff(n, nu, lam):
-    """Normalization a_n = sqrt(lam Gamma(n+1) / Gamma(n+nu+1)).
-
-    Evaluated through log-gamma differences so it stays finite for
-    large n and nu.
-    """
-    if n < 0 or nu < 0 or lam <= 0:
-        raise ValueError("norm_coeff requires n >= 0, nu >= 0, lam > 0")
-    return math.sqrt(lam) * math.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + nu + 1.0)))
-
+    x = np.asarray(x, np.longdouble)
+    m0 = np.ones_like(x)
+    expo = np.zeros_like(x)
+    m1 = (1.0 + nu - x).astype(np.longdouble)
+    big = np.longdouble(2.0) ** 8000
+    for k in range(1, nmax):
+        m0, m1 = m1, ((2 * k + nu + 1 - x) * m1 - (k + nu) * m0) / (k + 1)
+        if k % _RESCALE_STEPS == 0:
+            over = np.maximum(np.abs(m0), np.abs(m1)) > big
+            if over.any():
+                scale = np.where(over, 1 / big, np.longdouble(1.0))
+                m0 = m0 * scale
+                m1 = m1 * scale
+                expo = expo + np.where(over, 8000, 0)
+    return m0, m1, expo

@@ -65,6 +65,15 @@ class TestSolve:
         assert got == code
         assert out.endswith("# suspect levels: %s\n" % flagged)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_config_error(self, capsys, k):
+        # scan rejects it through lambda_scan; solve checks before solving
+        code, out, err = run(capsys, "solve", "--potential", "kratzer", "--B", "1",
+                             "--ell", "1", "--N", "60", "--k", k)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "k must be >= 1" in err
+
     def test_kratzer_ell_zero_is_config_error(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "kratzer", "--A", "1",
                            "--B", "50", "--ell", "0")

@@ -134,7 +134,7 @@ def complex_closed_form(p, basis):
         for j in range(n, 0, -1):
             C[n, j - 1] = C[n, j] * (j + nu) * (sigma - 1) / (n - j + 1)
     J = (C * moment_norms(N, nu)) @ C.T * sigma ** (-(nu + 1))
-    a = np.array([basis.norm_coeff(n) for n in range(N)])
+    a = np.sqrt(basis.lam / moment_norms(N, nu))
     return (-p.strength * np.outer(a, a) * J).astype(complex)
 
 
@@ -411,7 +411,7 @@ class TestKratzer:
     @pytest.mark.parametrize("ell", [700, 1000])
     def test_range_fallback_is_finite(self, ell):
         # a_{N-1}/a_0 falls below the float64 range from ell = 678 on at N = 800:
-        # one exp of a log-norm difference per element, as before
+        # the outer product is formed in longdouble, as accurate as in range
         p = KratzerParams(coulomb=1.0, inverse_square=1.0)
         b = BasisSpec(1.0, ell, 800)
         V = kratzer_matrix(p, b)
@@ -419,7 +419,7 @@ class TestKratzer:
         np.testing.assert_array_equal(V, V.T)
         want = _kratzer_reference(p, b)
         normal = np.abs(want) >= np.finfo(float).tiny
-        np.testing.assert_allclose(V[normal], want[normal].astype(float), rtol=1e-8, atol=0)
+        np.testing.assert_allclose(V[normal], want[normal].astype(float), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("B,ell,lam", [
         (50.0, 1, 0.6), (1.0, 2, 1.8), (5.0, 5, 0.4), (0.1, 1, 3.0),

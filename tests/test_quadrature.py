@@ -13,26 +13,20 @@ from trilag.potentials import (
     oracle_weight_nu,
     radial_function,
 )
-from trilag.quadrature import (
-    QuadRule,
-    gauss_laguerre_rule,
-    quad_matrix_element,
-    quad_potential_matrix,
-)
-from trilag.specfun import laguerre_seq
+from trilag.quadrature import gauss_laguerre_rule, quad_potential_matrix
 
 
 class TestRuleConstruction:
     def test_order_one(self):
         rule = gauss_laguerre_rule(1, 0.0)
         np.testing.assert_allclose(rule.nodes, [1.0], rtol=1e-14)
-        np.testing.assert_allclose(rule.weights.astype(float), [1.0], rtol=1e-14)
+        np.testing.assert_allclose(np.exp(rule.log_weights).astype(float), [1.0], rtol=1e-14)
 
     def test_order_two(self):
         rule = gauss_laguerre_rule(2, 0.0)
         np.testing.assert_allclose(rule.nodes, [2 - math.sqrt(2), 2 + math.sqrt(2)], rtol=1e-13)
         np.testing.assert_allclose(
-            rule.weights.astype(float),
+            np.exp(rule.log_weights).astype(float),
             [(2 + math.sqrt(2)) / 4, (2 - math.sqrt(2)) / 4],
             rtol=1e-13,
         )
@@ -43,8 +37,9 @@ class TestRuleConstruction:
         assert rule.nodes.shape == (order,)
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes[0] > 0
-        assert np.all(rule.weights > 0)
-        total = float(np.sum(rule.weights))
+        weights = np.exp(rule.log_weights)
+        assert np.all(weights > 0)
+        total = float(np.sum(weights))
         assert total == pytest.approx(math.gamma(nu + 1), rel=1e-12)
 
     @pytest.mark.parametrize("order,nu", [(20, 0.0), (100, 2.0), (300, 0.0), (600, 10.0)])
@@ -98,53 +93,55 @@ class TestRuleConstruction:
 
 
 class TestMatrixElement:
+    # single elements of the oracle matrix
+
     def test_zero_potential(self):
         basis = BasisSpec(lam=1.0, ell=0, size=5)
-        for n in range(5):
-            for m in range(5):
-                assert quad_matrix_element(lambda r: 0.0 * r, basis, n, m, order=20) == 0.0
+        M = quad_potential_matrix(lambda r: 0.0 * r, basis, order=20)
+        assert M.shape == (5, 5)
+        assert not M.any()
 
     def test_coulomb_ground_element(self):
         basis = BasisSpec(lam=1.0, ell=0, size=2)
-        got = quad_matrix_element(lambda r: -1.0 / r, basis, 0, 0, order=5)
+        got = quad_potential_matrix(lambda r: -1.0 / r, basis, order=5)[0, 0]
         assert got == pytest.approx(-1.0, rel=1e-13)
 
     def test_classical_yukawa_element(self):
         basis = BasisSpec(lam=1.0, ell=0, size=2)
-        got = quad_matrix_element(lambda r: -np.exp(-0.5 * r) / r, basis, 0, 0, order=200)
+        got = quad_potential_matrix(lambda r: -np.exp(-0.5 * r) / r, basis, order=200)[0, 0]
         assert got == pytest.approx(-1.0 / 1.5, rel=1e-12)
 
     def test_symmetry_bit_exact(self):
         basis = BasisSpec(lam=2.0, ell=1, size=8)
-        v = lambda r: -np.exp(-0.3 * r) / r
-        for n in range(8):
-            for m in range(8):
-                assert quad_matrix_element(v, basis, n, m, order=50) == quad_matrix_element(
-                    v, basis, m, n, order=50
-                )
+        M = quad_potential_matrix(lambda r: -np.exp(-0.3 * r) / r, basis, order=50)
+        np.testing.assert_array_equal(M, M.T)
 
     def test_nonfinite_integrand_reports_node(self):
         basis = BasisSpec(lam=1.0, ell=0, size=3)
         with pytest.raises(ValueError, match="node"), np.errstate(divide="ignore"):
-            quad_matrix_element(lambda r: 1.0 / (r - r), basis, 0, 0, order=10)
+            quad_potential_matrix(lambda r: 1.0 / (r - r), basis, order=10)
 
-    def test_index_bounds(self):
-        basis = BasisSpec(lam=1.0, ell=0, size=3)
-        with pytest.raises(ValueError):
-            quad_matrix_element(lambda r: -1 / r, basis, 3, 0, order=10)
+
+def longdouble_oracle(v, basis, rule, weight_nu):
+    """<phi_n| v |phi_m> as a longdouble product of the Laguerre table on the
+    rule's nodes, scaled by the basis norms a_n = sqrt(lam n!/Gamma(n+nu+1)):
+    a_n a_m / lam sum_i w_i x_i^{2 alpha - weight_nu} v(x_i/lam) L_n(x_i) L_m(x_i)."""
+    N, nu = basis.size, basis.nu
+    x = np.asarray(rule.nodes, np.longdouble)
+    L = np.empty((N, x.size), np.longdouble)
+    L[0] = 1
+    if N > 1:
+        L[1] = 1 + nu - x
+    for k in range(1, N - 1):
+        L[k + 1] = ((2 * k + nu + 1 - x) * L[k] - (k + nu) * L[k - 1]) / (k + 1)
+    n = np.arange(N)
+    a = np.sqrt(basis.lam * np.exp(np.longdouble(gammaln(n + 1.0) - gammaln(n + nu + 1.0))))
+    w = np.exp(rule.log_weights)
+    g = w * x ** (2 * basis.alpha - weight_nu) * v(x / np.longdouble(basis.lam))
+    return np.outer(a, a) / basis.lam * ((L * g) @ L.T)
 
 
 class TestMatrixOracle:
-    def test_matches_elementwise(self):
-        basis = BasisSpec(lam=1.5, ell=1, size=6)
-        v = lambda r: -np.exp(-0.4 * r) / r
-        M = quad_potential_matrix(v, basis, order=80)
-        for n in range(6):
-            for m in range(6):
-                assert M[n, m] == pytest.approx(
-                    quad_matrix_element(v, basis, n, m, order=80), rel=1e-12, abs=1e-15
-                )
-
     def test_symmetric(self):
         basis = BasisSpec(lam=1.0, ell=2, size=10)
         M = quad_potential_matrix(lambda r: -1.0 / r, basis, order=60)
@@ -157,16 +154,21 @@ class TestMatrixOracle:
         pytest.param(YukawaParams(1.0, 0.5, 0.5, "cosine"), BasisSpec(1.0, 0, 200), id="cosine"),
     ])
     def test_matches_longdouble_product(self, params, basis):
-        # the oracle as a longdouble product of the Laguerre table with the
-        # basis norms, on the same rule; compared in the validate metric.
-        # The cosine well is assembled by the same Gauss product, so this
-        # keeps its oracle independent of that code.
+        # the oracle against a test-local longdouble product on the same rule,
+        # compared in the validate metric.  The cosine well is assembled by the
+        # same Gauss product, so this keeps its oracle independent of that code.
         v, weight_nu = radial_function(params), oracle_weight_nu(params, basis)
         rule = gauss_laguerre_rule(450, weight_nu)
-        x = np.asarray(rule.nodes, np.longdouble)
-        L = laguerre_seq(basis.size - 1, basis.nu, x)
-        g = rule.weights * x ** (2 * basis.alpha - weight_nu) * v(x / np.longdouble(basis.lam))
-        a = np.array([basis.norm_coeff(k) for k in range(basis.size)], np.longdouble)
-        ref = (np.outer(a, a) / basis.lam * ((L * g) @ L.T)).astype(float)
+        ref = longdouble_oracle(v, basis, rule, weight_nu).astype(float)
         got = quad_potential_matrix(v, basis, order=450, weight_nu=weight_nu)
         assert float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-2))) <= 1e-12
+
+    def test_default_order(self):
+        # 2 N + nu + 48, at least 300: the rule the oracle builds by default
+        basis = BasisSpec(lam=1.3, ell=2, size=200)
+        v = lambda r: -np.exp(-0.4 * r) / r
+        np.testing.assert_array_equal(
+            quad_potential_matrix(v, basis), quad_potential_matrix(v, basis, order=452))
+        small = BasisSpec(lam=1.3, ell=2, size=10)
+        np.testing.assert_array_equal(
+            quad_potential_matrix(v, small), quad_potential_matrix(v, small, order=300))
