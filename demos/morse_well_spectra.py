@@ -11,10 +11,7 @@ from trilag import (
     BasisSpec,
     MorseParams,
     bound_states,
-    morse_matrix,
-    oracle_weight_nu,
     quad_potential_matrix,
-    radial_function,
 )
 
 
@@ -30,9 +27,8 @@ def main():
     # routes agree to ~1e-12 relative
     p = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=1.0)
     b = BasisSpec(lam=6.0, ell=1, size=40)
-    analytic = morse_matrix(p, b)
-    oracle = quad_potential_matrix(radial_function(p), b, order=300,
-                                   weight_nu=oracle_weight_nu(p, b))
+    analytic = p.matrix(b)
+    oracle = quad_potential_matrix(p.radial, b, order=300, weight_nu=p.oracle_nu(b))
     dev = np.max(np.abs(analytic - oracle) / np.maximum(np.abs(analytic), 1e-2))
     print("\nworst analytic-vs-quadrature deviation over a 40x40 block: %.2e" % dev)
 

@@ -3,10 +3,11 @@
 The basis renders the reference Hamiltonian and the overlap tridiagonal
 while three potential families (screened Coulomb / Yukawa, Kratzer,
 generalized Morse) get closed-form or Gauss-assembled potential matrices,
-so spectra reduce to a symmetric-definite generalized eigenproblem.  A
-generalized Gauss-Laguerre quadrature oracle, quad_potential_matrix,
-independently assembles the full potential matrix as one Gauss product on
-the orthonormal Laguerre table and validates every assembled element.
+so spectra reduce to a symmetric-definite generalized eigenproblem.  Each
+family is a Potential that also gives the radial form and weight exponent
+of a generalized Gauss-Laguerre oracle, quad_potential_matrix, which
+assembles the full matrix as one Gauss product on the orthonormal Laguerre
+table and validates every assembled element.
 """
 
 from .basis import BasisSpec, h0_matrix, overlap_matrix
@@ -14,6 +15,7 @@ from .eigen import NotPositiveDefiniteError, Pencil, solve_pencil
 from .potentials import (
     KratzerParams,
     MorseParams,
+    Potential,
     YukawaParams,
     exp_matrix,
     kratzer_matrix,
@@ -32,7 +34,6 @@ from .solver import (
     critical_screening,
     kratzer_exact,
     lambda_scan,
-    potential_matrix,
 )
 
 __version__ = "0.1.0"
@@ -45,6 +46,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "Pencil",
     "PlateauReport",
+    "Potential",
     "QuadRule",
     "SpectrumResult",
     "YukawaParams",
@@ -60,7 +62,6 @@ __all__ = [
     "morse_matrix",
     "oracle_weight_nu",
     "overlap_matrix",
-    "potential_matrix",
     "quad_potential_matrix",
     "radial_function",
     "solve_pencil",

@@ -16,15 +16,9 @@ import numpy as np
 from . import _golden
 from .basis import BasisSpec
 from .eigen import NotPositiveDefiniteError
-from .potentials import (
-    KratzerParams,
-    MorseParams,
-    YukawaParams,
-    oracle_weight_nu,
-    radial_function,
-)
+from .potentials import KratzerParams, MorseParams, YukawaParams
 from .quadrature import quad_potential_matrix
-from .solver import bound_states, kratzer_exact, lambda_scan, potential_matrix
+from .solver import bound_states, kratzer_exact, lambda_scan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,17 +89,13 @@ def _build_potential(cfg):
         if cfg["delta"] is not None:
             if cfg["mu-re"] is not None or cfg["mu-im"] is not None:
                 raise ConfigError("--delta sets the screening: give it or --mu-re/--mu-im, not both")
-            mu_re = cfg["delta"]
-            mu_im = 0.0 if variant == "classical" else cfg["delta"]
-        else:
-            mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
-            mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
+            return YukawaParams(strength=A, variant=variant).with_screening(cfg["delta"])
+        mu_re = cfg["mu-re"] if cfg["mu-re"] is not None else 0.0
+        mu_im = cfg["mu-im"] if cfg["mu-im"] is not None else 0.0
         return YukawaParams(strength=A, mu_re=mu_re, mu_im=mu_im, variant=variant)
     if family == "kratzer":
         if cfg["B"] is None:
             raise ConfigError("kratzer requires --B")
-        if cfg["ell"] == 0:
-            raise ConfigError("kratzer requires |ell| >= 1: the 1/r^2 element diverges at ell = 0")
         return KratzerParams(coulomb=A, inverse_square=cfg["B"])
     # morse
     for key in ("V0", "r0", "width"):
@@ -296,11 +286,9 @@ def cmd_validate(cfg):
     potential = _build_potential(cfg)
     limit = cfg["limit"]
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1)
-    assembled = potential_matrix(potential, basis)
-    oracle = quad_potential_matrix(
-        radial_function(potential), basis,
-        order=cfg["order"], weight_nu=oracle_weight_nu(potential, basis),
-    )
+    assembled = potential.matrix(basis)
+    oracle = quad_potential_matrix(potential.radial, basis, order=cfg["order"],
+                                   weight_nu=potential.oracle_nu(basis))
     # |assembled - oracle| / max(|assembled|, 1e-2), in place: relative where the element
     # is appreciable, absolute (scaled to the same 1e-11 threshold) where it is tiny
     dev = np.abs(np.subtract(assembled, oracle, out=oracle), out=oracle)

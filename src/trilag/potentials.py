@@ -3,7 +3,8 @@
 Three families are covered: the screened Coulomb (Yukawa) potential with
 its cosine- and sine-screened variants, the Kratzer potential and the
 generalized Morse potential, plus the exponential kernel exp(-c r) they
-share.
+share.  Each family's parameter class is a Potential that supplies its
+matrix, radial form and oracle weight, so no other module branches on it.
 
 The classical Yukawa and the exponential kernel reduce to integrals of the
 form
@@ -61,7 +62,7 @@ rejects the rest.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -71,6 +72,7 @@ from .basis import _overlap_factor
 from .quadrature import _gauss_matrix, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
+    "Potential",
     "YukawaParams",
     "KratzerParams",
     "MorseParams",
@@ -90,8 +92,17 @@ def _require_finite(params, *names):
             raise ValueError("%s must be finite, got %r" % (name, value))
 
 
+class Potential:
+    """A family's parameters: matrix(basis) is its real symmetric matrix in the
+    basis, radial(r) the V(r) the quadrature oracle integrates and
+    oracle_nu(basis) that oracle's weight_nu, by default the basis's nu."""
+
+    def oracle_nu(self, basis):
+        return basis.nu
+
+
 @dataclass(frozen=True)
-class YukawaParams:
+class YukawaParams(Potential):
     """Screened Coulomb well of strength A with screening mu_re, mu_im.
 
     variant selects the real potential solved: 'classical' is the ordinary
@@ -121,9 +132,26 @@ class YukawaParams:
         if self.variant == "classical" and self.mu_im != 0:
             raise ValueError("classical variant requires mu_im = 0")
 
+    def matrix(self, basis):
+        return yukawa_matrix(self, basis)
+
+    def radial(self, r):
+        A, mr, mi = self.strength, self.mu_re, self.mu_im
+        if self.variant == "sine":
+            return A * np.sin(mi * r) * np.exp(-mr * r) / r
+        if self.variant == "cosine":
+            return -A * np.cos(mi * r) * np.exp(-mr * r) / r
+        return -A * np.exp(-mr * r) / r
+
+    def with_screening(self, delta):
+        """This well with the screening set to delta: both parts for the
+        cosine and sine variants, mu_re only for the classical one."""
+        mu_im = 0.0 if self.variant == "classical" else float(delta)
+        return replace(self, mu_re=float(delta), mu_im=mu_im)
+
 
 @dataclass(frozen=True)
-class KratzerParams:
+class KratzerParams(Potential):
     """Kratzer potential -coulomb/r + inverse_square/(2 r^2)."""
 
     coulomb: float
@@ -134,9 +162,21 @@ class KratzerParams:
         if self.inverse_square <= 0:
             raise ValueError("inverse_square must be > 0")
 
+    def matrix(self, basis):
+        return kratzer_matrix(self, basis)
+
+    def radial(self, r):
+        a, b = self.coulomb, self.inverse_square
+        return -a / r + b / (2.0 * r * r)
+
+    def oracle_nu(self, basis):
+        # the volume-element power absorbs a 1/r, but 1/r^2 leaves a 1/x factor in
+        # the integrand; one power less of weight makes it polynomial (hence exact)
+        return basis.nu - 1.0
+
 
 @dataclass(frozen=True)
-class MorseParams:
+class MorseParams(Potential):
     """Generalized Morse depth*(e^{-2w(r/r_eq-1)} - 2 beta e^{-w(r/r_eq-1)})."""
 
     depth: float
@@ -152,6 +192,13 @@ class MorseParams:
             raise ValueError("width must be > 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+
+    def matrix(self, basis):
+        return morse_matrix(self, basis)
+
+    def radial(self, r):
+        d, r0, w, beta = self.depth, self.r_eq, self.width, self.beta
+        return d * (np.exp(-2 * w * (r / r0 - 1)) - 2 * beta * np.exp(-w * (r / r0 - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +361,14 @@ def kratzer_matrix(p, basis):
 
 
 # ---------------------------------------------------------------------------
-# radial forms for the quadrature oracle
+# function forms of the oracle's two methods
 
 
 def radial_function(p):
     """The radial potential r -> V(r) solved for the given parameters."""
-    if isinstance(p, YukawaParams):
-        A, mr, mi = p.strength, p.mu_re, p.mu_im
-        if p.variant == "sine":
-            return lambda r: A * np.sin(mi * r) * np.exp(-mr * r) / r
-        if p.variant == "cosine":
-            return lambda r: -A * np.cos(mi * r) * np.exp(-mr * r) / r
-        return lambda r: -A * np.exp(-mr * r) / r
-    if isinstance(p, KratzerParams):
-        a, b = p.coulomb, p.inverse_square
-        return lambda r: -a / r + b / (2.0 * r * r)
-    if isinstance(p, MorseParams):
-        d, r0, w, beta = p.depth, p.r_eq, p.width, p.beta
-        return lambda r: d * (
-            np.exp(-2 * w * (r / r0 - 1)) - 2 * beta * np.exp(-w * (r / r0 - 1))
-        )
-    raise TypeError("unknown potential parameters: %r" % (p,))
+    return p.radial
 
 
 def oracle_weight_nu(p, basis):
-    """Quadrature weight exponent matched to the potential's singularity.
-
-    The 1/r factor common to the Coulomb-type potentials is absorbed by the
-    volume-element power, but the Kratzer 1/r^2 term leaves a 1/x factor in
-    the integrand; lowering the weight exponent by one absorbs it and makes
-    the oracle integrand polynomial (hence exact).
-    """
-    if isinstance(p, KratzerParams):
-        return basis.nu - 1.0
-    return basis.nu
+    """Quadrature weight exponent matched to the potential's singularity."""
+    return p.oracle_nu(basis)

@@ -8,36 +8,25 @@ the critical screening where a level detaches into the continuum.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .basis import BasisSpec, _add_h0, _overlap_factor
 from .eigen import lowest_eigenvalues, solve_pencil
-from .potentials import (
-    KratzerParams,
-    MorseParams,
-    YukawaParams,
-    kratzer_matrix,
-    morse_matrix,
-    yukawa_matrix,
-)
+from .potentials import Potential
 
 __all__ = [
-    "PotentialSpec",
     "SpectrumResult",
     "PlateauReport",
     "ConvergenceTable",
-    "potential_matrix",
     "bound_states",
     "kratzer_exact",
     "lambda_scan",
     "converge_in_n",
     "critical_screening",
 ]
-
-PotentialSpec = Union[YukawaParams, KratzerParams, MorseParams]
 
 # eigenvalues this close to zero are reported as unresolved, not bound
 ZERO_BAND = 1e-12
@@ -48,17 +37,6 @@ GUARD_TAIL = 10
 GUARD_FRACTION = 0.5
 
 
-def potential_matrix(potential, basis):
-    """Potential matrix for any of the three families."""
-    if isinstance(potential, YukawaParams):
-        return yukawa_matrix(potential, basis)
-    if isinstance(potential, KratzerParams):
-        return kratzer_matrix(potential, basis)
-    if isinstance(potential, MorseParams):
-        return morse_matrix(potential, basis)
-    raise TypeError("unknown potential parameters: %r" % (potential,))
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     """Pencil spectrum with the bound (E < 0) subsequence flagged."""
@@ -66,7 +44,7 @@ class SpectrumResult:
     energies: np.ndarray
     bound: np.ndarray
     basis: BasisSpec
-    potential: PotentialSpec
+    potential: Potential
     suspect: tuple    # indices of bound levels flagged as truncation artifacts
     unresolved: tuple # indices within ZERO_BAND of zero
 
@@ -101,7 +79,7 @@ class _BasisPencil:
 def _pencil(potential, basis):
     """The pencil (H0 + V, S) of the potential in the basis: H0's three bands
     are added into the fresh potential matrix in place."""
-    return _BasisPencil(_add_h0(potential_matrix(potential, basis), basis), basis)
+    return _BasisPencil(_add_h0(potential.matrix(basis), basis), basis)
 
 
 def bound_states(potential, basis):
@@ -242,30 +220,28 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
     return ConvergenceTable(n_grid=n_grid, traces=traces, converged=converged, tol=tol)
 
 
-def _with_delta(p, delta):
-    """Yukawa template with the screening set to delta (both parts for the
-    cosine and sine variants)."""
-    if p.variant == "classical":
-        return replace(p, mu_re=float(delta), mu_im=0.0)
-    return replace(p, mu_re=float(delta), mu_im=float(delta))
-
-
 def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     """Bisect the screening delta at which the given level detaches.
 
     The predicate is that level `level` lies below -ZERO_BAND, which is
     the same as more than `level` levels being bound; only the level + 1
     lowest eigenvalues of each solve are computed.  Requires the level
-    bound at the lower bracket end and unbound at the upper end.
+    bound at the lower bracket end and unbound at the upper end.  The
+    bisection stops at width tol, or where the bracket has no float
+    between its ends.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0, got %r" % (tol,))
     if basis is None:
         basis = BasisSpec(lam=1.0, ell=ell, size=100)
+    elif abs(basis.ell) != abs(ell):
+        raise ValueError("basis.ell = %r does not match ell = %r" % (basis.ell, ell))
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
     def is_bound(delta):
-        w = lowest_eigenvalues(_pencil(_with_delta(p, delta), basis), level + 1)
+        w = lowest_eigenvalues(_pencil(p.with_screening(delta), basis), level + 1)
         return len(w) > level and w[level] < -ZERO_BAND
 
     if not is_bound(lo):
@@ -274,6 +250,8 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
         raise ValueError("level %d is still bound at the upper bracket end" % level)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if is_bound(mid):
             lo = mid
         else:

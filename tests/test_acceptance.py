@@ -23,13 +23,7 @@ from trilag._golden import (
 )
 from trilag.basis import BasisSpec, h0_matrix, overlap_matrix
 from trilag.eigen import Pencil, solve_pencil
-from trilag.potentials import (
-    KratzerParams,
-    MorseParams,
-    YukawaParams,
-    oracle_weight_nu,
-    radial_function,
-)
+from trilag.potentials import KratzerParams, MorseParams, YukawaParams
 from trilag.quadrature import quad_potential_matrix
 from trilag.solver import (
     bound_states,
@@ -37,7 +31,6 @@ from trilag.solver import (
     critical_screening,
     kratzer_exact,
     lambda_scan,
-    potential_matrix,
 )
 
 
@@ -121,10 +114,8 @@ def test_analytic_elements_match_quadrature_oracle():
             cases.append((MorseParams(V0, r0, width, beta), BasisSpec(lam=6.0, ell=ell, size=61)))
     worst = 0.0
     for p, b in cases:
-        analytic = potential_matrix(p, b)
-        oracle = quad_potential_matrix(
-            radial_function(p), b, order=300, weight_nu=oracle_weight_nu(p, b)
-        )
+        analytic = p.matrix(b)
+        oracle = quad_potential_matrix(p.radial, b, order=300, weight_nu=p.oracle_nu(b))
         dev = np.max(np.abs(analytic - oracle) / np.maximum(np.abs(analytic), 1e-2))
         worst = max(worst, float(dev))
     elapsed = time.perf_counter() - t0

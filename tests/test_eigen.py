@@ -17,7 +17,7 @@ from trilag.eigen import (
     solve_pencil,
 )
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams, kratzer_matrix
-from trilag.solver import _pencil, bound_states, potential_matrix
+from trilag.solver import _pencil, bound_states
 
 
 class TestCholesky:
@@ -199,7 +199,7 @@ FAMILIES = {
 
 def _dense_pencil(params, b):
     """The public dense pencil (H0 + V, S) of a potential in the basis."""
-    return Pencil(h0_matrix(b) + potential_matrix(params, b), overlap_matrix(b))
+    return Pencil(h0_matrix(b) + params.matrix(b), overlap_matrix(b))
 
 
 class TestLowestEigenvalues:

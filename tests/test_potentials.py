@@ -23,7 +23,8 @@ from trilag.quadrature import quad_potential_matrix
 
 def oracle_deviation(analytic, params, basis, order=300):
     """Max deviation vs the quadrature oracle: relative for appreciable
-    elements, absolute (scaled by 1e-2) for tiny ones."""
+    elements, absolute (scaled by 1e-2) for tiny ones.  Through the function
+    forms of the oracle methods, which the benchmark workloads import."""
     numeric = quad_potential_matrix(
         radial_function(params), basis, order=order,
         weight_nu=oracle_weight_nu(params, basis),
@@ -47,6 +48,15 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="mu_im <= mu_re"):
             YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.5000001, variant=variant)
         YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.5, variant=variant)
+
+    @pytest.mark.parametrize("variant,mu_im", [("classical", 0.0), ("cosine", 0.3),
+                                                ("sine", 0.3)])
+    def test_yukawa_with_screening(self, variant, mu_im):
+        # both screening parts for the cosine and sine wells, mu_re only for the classical one
+        p = YukawaParams(strength=2.0, variant=variant).with_screening(0.3)
+        assert p == YukawaParams(strength=2.0, mu_re=0.3, mu_im=mu_im, variant=variant)
+        with pytest.raises(ValueError, match="screening parameters must be >= 0"):
+            p.with_screening(-1.0)
 
     def test_kratzer(self):
         with pytest.raises(ValueError):

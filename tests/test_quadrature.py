@@ -6,13 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from trilag.basis import BasisSpec
-from trilag.potentials import (
-    KratzerParams,
-    MorseParams,
-    YukawaParams,
-    oracle_weight_nu,
-    radial_function,
-)
+from trilag.potentials import KratzerParams, MorseParams, YukawaParams
 from trilag.quadrature import gauss_laguerre_rule, quad_potential_matrix
 
 
@@ -157,7 +151,7 @@ class TestMatrixOracle:
         # the oracle against a test-local longdouble product on the same rule,
         # compared in the validate metric.  The cosine well is assembled by the
         # same Gauss product, so this keeps its oracle independent of that code.
-        v, weight_nu = radial_function(params), oracle_weight_nu(params, basis)
+        v, weight_nu = params.radial, params.oracle_nu(basis)
         rule = gauss_laguerre_rule(450, weight_nu)
         ref = longdouble_oracle(v, basis, rule, weight_nu).astype(float)
         got = quad_potential_matrix(v, basis, order=450, weight_nu=weight_nu)

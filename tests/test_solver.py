@@ -17,7 +17,6 @@ from trilag.solver import (
     critical_screening,
     kratzer_exact,
     lambda_scan,
-    potential_matrix,
 )
 
 
@@ -48,8 +47,9 @@ class TestBoundStates:
         assert set(r.bound).issubset(set(r.energies))
 
     def test_unknown_potential_rejected(self):
-        with pytest.raises(TypeError):
-            potential_matrix(object(), BasisSpec(1.0, 0, 10))
+        # a potential is anything with the Potential methods; object() has none
+        with pytest.raises(AttributeError):
+            bound_states(object(), BasisSpec(1.0, 0, 10))
 
 
 KRATZER_B1 = KratzerParams(coulomb=1.0, inverse_square=1.0)
@@ -77,7 +77,7 @@ class TestTruncationGuard:
     def test_tails_match_dense_factor(self, potential, basis, suspect):
         # the closed-form bidiagonal L^T F against a dense Cholesky of S
         S = overlap_matrix(basis)
-        H = h0_matrix(basis) + potential_matrix(potential, basis)
+        H = h0_matrix(basis) + potential.matrix(basis)
         w, F = solve_pencil(Pencil(H, S), eigvecs=True)
         bound = np.flatnonzero(w < -ZERO_BAND)
         Y = np.linalg.cholesky(S).T @ F[:, bound]
@@ -193,6 +193,23 @@ class TestCriticalScreening:
         assert critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5)) == 0.32095947265625
         assert critical_screening(cos_yukawa(0.1), 0, 2, (0.1, 0.2)) == 0.10649414062500001
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5), tol=tol)
+
+    def test_tol_below_float_spacing_returns(self):
+        # near 0.32 the bracket cannot narrow below the float spacing (5.6e-17),
+        # so the bisection stops where the midpoint is one of its ends
+        dc = critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5), tol=1e-17)
+        assert abs(dc - 0.32095947265625) < 1e-4
+
+    def test_basis_ell_must_match(self):
+        with pytest.raises(ValueError, match="does not match ell = 3"):
+            critical_screening(cos_yukawa(0.1), 3, 0, (0.01, 0.2), basis=BasisSpec(1.0, 0, 100))
+        given = critical_screening(cos_yukawa(0.1), 3, 0, (0.01, 0.2), basis=BasisSpec(1.0, 3, 100))
+        assert given == critical_screening(cos_yukawa(0.1), 3, 0, (0.01, 0.2))
+
 
 class TestDriversReadEigenvaluesOnly:
     # the drivers read only eigenvalues: neither MRRR eigenvectors nor the
@@ -247,7 +264,7 @@ class TestStructuredPencil:
     def test_matches_dense_pencil(self, family, ell, N):
         params = STRUCTURED_FAMILIES[family]
         b = BasisSpec(1.5, ell, N)
-        dense = Pencil(h0_matrix(b) + potential_matrix(params, b), overlap_matrix(b))
+        dense = Pencil(h0_matrix(b) + params.matrix(b), overlap_matrix(b))
         ref, F_ref = solve_pencil(dense, eigvecs=True, below=-ZERO_BAND)
         tol = 1e-12 * np.abs(ref).max()
         w, F = solve_pencil(_pencil(params, b), eigvecs=True, below=-ZERO_BAND)
@@ -266,7 +283,7 @@ class TestStructuredPencil:
 
     def test_dense_pencil_left_intact(self):
         b = BasisSpec(1.0, 1, 50)
-        H = h0_matrix(b) + potential_matrix(KRATZER_B1, b)
+        H = h0_matrix(b) + KRATZER_B1.matrix(b)
         S = overlap_matrix(b)
         H0, S0 = H.copy(), S.copy()
         solve_pencil(Pencil(H, S))
