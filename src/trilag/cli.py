@@ -8,14 +8,12 @@ truncation guard flags as suspect.
 """
 
 import argparse
-import io
 import sys
 
 import numpy as np
 
 from . import _golden
 from .basis import BasisSpec
-from .eigen import NotPositiveDefiniteError
 from .potentials import KratzerParams, MorseParams, YukawaParams
 from .quadrature import quad_potential_matrix
 from .solver import bound_states, kratzer_exact, lambda_scan
@@ -113,29 +111,29 @@ def _parse_grid(text):
             lo, hi, step = (float(t) for t in text.split(":"))
             if step <= 0 or hi < lo:
                 raise ValueError
-            grid = np.arange(lo, hi + 0.5 * step, step)
-        else:
-            grid = np.array([float(t) for t in text.split(",")])
+            return np.arange(lo, hi + 0.5 * step, step)
+        return np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise ConfigError("bad --lambda-grid %r" % text)
-    if len(grid) < 5:
-        raise ConfigError("lam grid too small: plateau detection needs at least 5 points")
-    return grid
 
 
 def _fmt(x):
     return format(float(x), ".15g")
 
 
-def _echo(cfg, command):
-    parts = ["command=%s" % command]
-    for key in sorted(cfg):
-        if cfg[key] is not None:
-            parts.append("%s=%s" % (key, cfg[key]))
-    return "# " + " ".join(parts)
+def _sci(x):
+    return format(float(x), ".3e")
 
 
-def _write_out(cfg, text):
+def _pairs(cfg):
+    """The options that are set, as sorted key=value strings: the echo and --dump-config."""
+    return ["%s=%s" % (key, cfg[key]) for key in sorted(cfg) if cfg[key] is not None]
+
+
+def _emit(cfg, command, lines):
+    """Write the '#' parameter echo, then the lines, to --out or stdout."""
+    echo = "# " + " ".join(["command=" + command] + _pairs(cfg))
+    text = "".join(line + "\n" for line in [echo] + lines)
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:
             fh.write(text)
@@ -143,77 +141,68 @@ def _write_out(cfg, text):
         sys.stdout.write(text)
 
 
-def _dump_config(cfg):
-    lines = []
-    for key in sorted(cfg):
-        if cfg[key] is not None and key != "out":
-            lines.append("%s=%s" % (key, cfg[key]))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the option values and the parsed arguments, writes
+# its output and returns the exit code
 
 
-def cmd_solve(cfg):
+def cmd_solve(cfg, args):
     if cfg["k"] is not None and cfg["k"] < 1:
         raise ConfigError("k must be >= 1")
     potential = _build_potential(cfg)
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=cfg["N"])
     result = bound_states(potential, basis)
-    levels = result.bound
-    if cfg["k"] is not None:
-        levels = levels[: cfg["k"]]
-    buf = io.StringIO()
-    buf.write(_echo(cfg, "solve") + "\n")
-    buf.write("level,energy,N,lambda\n")
-    for i, e in enumerate(levels):
-        buf.write("%d,%s,%d,%s\n" % (i, _fmt(e), basis.size, _fmt(basis.lam)))
+    levels = result.bound[: cfg["k"]]
+    lines = ["level,energy,N,lambda"]
+    lines += ["%d,%s,%d,%s" % (i, _fmt(e), basis.size, _fmt(basis.lam)) for i, e in enumerate(levels)]
     for name, flagged in (("suspect", result.suspect), ("unresolved", result.unresolved)):
         if flagged:
-            buf.write("# %s levels: %s\n" % (name, " ".join(map(str, flagged))))
-    _write_out(cfg, buf.getvalue())
+            lines.append("# %s levels: %s" % (name, " ".join(map(str, flagged))))
+    _emit(cfg, "solve", lines)
     return EXIT_VALIDATION if any(i < len(levels) for i in result.suspect) else EXIT_OK
 
 
-def cmd_scan(cfg):
+def cmd_scan(cfg, args):
     potential = _build_potential(cfg)
     grid = _parse_grid(cfg["lambda-grid"])
     basis = BasisSpec(lam=grid[0], ell=cfg["ell"], size=cfg["N"])
     k = cfg["k"] if cfg["k"] is not None else 1
-    report = lambda_scan(potential, basis, grid, k,
-                         tol_rel=cfg["tol-plateau"], threads=cfg["threads"])
-    buf = io.StringIO()
-    buf.write(_echo(cfg, "scan") + "\n")
-    buf.write("lambda,level,energy\n")
+    report = lambda_scan(potential, basis, grid, k, tol_rel=cfg["tol-plateau"])
+    lines = ["lambda,level,energy"]
     for lam, row in zip(report.grid, report.traces):
-        for lvl, e in enumerate(row):
-            buf.write("%s,%d,%s\n" % (_fmt(lam), lvl, _fmt(e)))
+        lines += ["%s,%d,%s" % (_fmt(lam), lvl, _fmt(e)) for lvl, e in enumerate(row)]
     if report.plateau is None:
-        buf.write("# plateau: none\n")
+        lines.append("# plateau: none")
     else:
-        buf.write("# plateau: [%s, %s] max_spread=%s\n"
-                  % (_fmt(report.plateau[0]), _fmt(report.plateau[1]),
-                     format(float(np.max(report.spread)), ".3e")))
-    _write_out(cfg, buf.getvalue())
+        lines.append("# plateau: [%s, %s] max_spread=%s"
+                     % (_fmt(report.plateau[0]), _fmt(report.plateau[1]), _sci(np.max(report.spread))))
+    _emit(cfg, "scan", lines)
     return EXIT_OK
 
 
+# Each table's rows yield (cells, failed): the CSV cells of one golden level
+# and whether it lies beyond its tolerance.  A golden value is a binding
+# energy, -E.
+
+
+def _level_cells(energy, golden):
+    """Cells energy, golden and diff of one level, and the diff."""
+    computed = -float(energy)
+    diff = abs(computed - golden)
+    return [_fmt(computed), _fmt(golden), _sci(diff)], diff
+
+
 def _table1_rows():
-    rows = []
+    b = BasisSpec(lam=_golden.TABLE1_LAM, ell=0, size=_golden.TABLE1_N)
     for delta in sorted(_golden.TABLE1):
-        golden = _golden.TABLE1[delta]
         p = YukawaParams(strength=1.0, mu_re=delta, mu_im=delta, variant="cosine")
-        b = BasisSpec(lam=_golden.TABLE1_LAM, ell=0, size=_golden.TABLE1_N)
         energies = bound_states(p, b).energies
-        for lvl, g in enumerate(golden):
-            computed = -float(energies[lvl])
-            rows.append((delta, lvl, computed, g, abs(computed - g), _golden.TABLE1_TOL[delta]))
-    return rows
+        for lvl, g in enumerate(_golden.TABLE1[delta]):
+            cells, diff = _level_cells(energies[lvl], g)
+            yield [_fmt(delta), lvl] + cells, diff > _golden.TABLE1_TOL[delta]
 
 
 def _table2_rows():
-    rows = []
     for (B, ell) in sorted(_golden.TABLE2):
         golden = _golden.TABLE2[(B, ell)]
         lam = _golden.TABLE2_LAM[(B, ell)]
@@ -223,66 +212,48 @@ def _table2_rows():
         for lvl, g in enumerate(golden):
             lv = lams[lvl]
             if lv not in spectra:
-                b = BasisSpec(lam=lv, ell=ell, size=_golden.TABLE2_N)
-                spectra[lv] = bound_states(p, b).energies
-            computed = -float(spectra[lv][lvl])
-            exact = -kratzer_exact(1.0, B, ell, lvl)
+                spectra[lv] = bound_states(p, BasisSpec(lam=lv, ell=ell, size=_golden.TABLE2_N)).energies
+            e = spectra[lv][lvl]
+            cells, diff = _level_cells(e, g)
+            gap = abs(float(e) - kratzer_exact(1.0, B, ell, lvl))
             flag = "near-threshold" if (B, ell, lvl) in _golden.TABLE2_FLAGGED else ""
-            rows.append((B, ell, lvl, computed, g, abs(computed - g),
-                         abs(computed - exact), flag))
-    return rows
+            yield [_fmt(B), ell, lvl] + cells + [_sci(gap), flag], diff > _golden.TABLE2_TOL
 
 
 def _table3_rows():
-    rows = []
     for (ell, r0, width, V0), by_beta in _golden.TABLE3:
+        b = BasisSpec(lam=_golden.TABLE3_LAM, ell=ell, size=_golden.TABLE3_N)
         for beta in sorted(by_beta):
-            golden = by_beta[beta]
             p = MorseParams(depth=V0, r_eq=r0, width=width, beta=beta)
-            b = BasisSpec(lam=_golden.TABLE3_LAM, ell=ell, size=_golden.TABLE3_N)
             energies = bound_states(p, b).energies
-            for lvl, g in enumerate(golden):
-                computed = -float(energies[lvl])
-                rows.append((ell, r0, width, V0, beta, lvl, computed, g,
-                             abs(computed - g)))
-    return rows
+            for lvl, g in enumerate(by_beta[beta]):
+                cells, diff = _level_cells(energies[lvl], g)
+                yield ([ell, _fmt(r0), _fmt(width), _fmt(V0), _fmt(beta), lvl] + cells,
+                       diff > _golden.TABLE3_TOL)
 
 
-def cmd_table(cfg, table_id):
-    buf = io.StringIO()
-    buf.write(_echo(cfg, "table %d" % table_id) + "\n")
+# table id -> (CSV header, rows)
+_TABLES = {
+    1: ("delta,level,energy,golden,diff", _table1_rows),
+    2: ("B,ell,n,energy,golden,diff,exact_gap,flag", _table2_rows),
+    3: ("ell,r0,width,V0,beta,level,energy,golden,diff", _table3_rows),
+}
+
+
+def cmd_table(cfg, args):
+    header, rows = _TABLES[args.id]
+    lines = [header]
     failures = 0
-    if table_id == 1:
-        buf.write("delta,level,energy,golden,diff\n")
-        for delta, lvl, computed, g, diff, tol in _table1_rows():
-            buf.write("%s,%d,%s,%s,%s\n" % (_fmt(delta), lvl, _fmt(computed), _fmt(g), format(diff, ".3e")))
-            if diff > tol:
-                failures += 1
-    elif table_id == 2:
-        buf.write("B,ell,n,energy,golden,diff,exact_gap,flag\n")
-        for B, ell, lvl, computed, g, diff, gap, flag in _table2_rows():
-            buf.write("%s,%d,%d,%s,%s,%s,%s,%s\n"
-                      % (_fmt(B), ell, lvl, _fmt(computed), _fmt(g),
-                         format(diff, ".3e"), format(gap, ".3e"), flag))
-            if diff > _golden.TABLE2_TOL:
-                failures += 1
-    elif table_id == 3:
-        buf.write("ell,r0,width,V0,beta,level,energy,golden,diff\n")
-        for ell, r0, width, V0, beta, lvl, computed, g, diff in _table3_rows():
-            buf.write("%d,%s,%s,%s,%s,%d,%s,%s,%s\n"
-                      % (ell, _fmt(r0), _fmt(width), _fmt(V0), _fmt(beta),
-                         lvl, _fmt(computed), _fmt(g), format(diff, ".3e")))
-            if diff > _golden.TABLE3_TOL:
-                failures += 1
-    else:
-        raise ConfigError("table id must be 1, 2 or 3")
+    for cells, failed in rows():
+        lines.append(",".join(map(str, cells)))
+        failures += failed
     if failures:
-        buf.write("# REGRESSION: %d cell(s) beyond tolerance\n" % failures)
-    _write_out(cfg, buf.getvalue())
+        lines.append("# REGRESSION: %d cell(s) beyond tolerance" % failures)
+    _emit(cfg, "table %d" % args.id, lines)
     return EXIT_VALIDATION if failures else EXIT_OK
 
 
-def cmd_validate(cfg):
+def cmd_validate(cfg, args):
     potential = _build_potential(cfg)
     limit = cfg["limit"]
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1)
@@ -295,12 +266,9 @@ def cmd_validate(cfg):
     dev /= np.maximum(np.abs(assembled, out=assembled), 1e-2, out=assembled)
     n, m = np.unravel_index(int(np.argmax(dev)), dev.shape)
     worst = float(dev[n, m])
-    buf = io.StringIO()
-    buf.write(_echo(cfg, "validate") + "\n")
-    buf.write("# max deviation %s at (n, m) = (%d, %d)\n" % (format(worst, ".3e"), n, m))
-    buf.write("max_deviation,n,m,order,limit\n")
-    buf.write("%s,%d,%d,%d,%d\n" % (format(worst, ".3e"), n, m, cfg["order"], limit))
-    _write_out(cfg, buf.getvalue())
+    _emit(cfg, "validate", ["# max deviation %s at (n, m) = (%d, %d)" % (_sci(worst), n, m),
+                            "max_deviation,n,m,order,limit",
+                            "%s,%d,%d,%d,%d" % (_sci(worst), n, m, cfg["order"], limit)])
     return EXIT_VALIDATION if worst > 1e-11 else EXIT_OK
 
 
@@ -311,7 +279,8 @@ def cmd_validate(cfg):
 def build_parser():
     """The trilag parser: each option is declared once, on the subcommands that read it.
 
-    Config files, the '#' echo and --dump-config use the same declarations.
+    Config files, the '#' echo and --dump-config use the same declarations;
+    each subparser names the subcommand main runs.
     """
     parser = argparse.ArgumentParser(
         prog="trilag",
@@ -324,7 +293,7 @@ def build_parser():
     p_table = sub.add_parser("table", allow_abbrev=False, help="reproduce a reference table")
     p_val = sub.add_parser("validate", allow_abbrev=False, help="assembled elements vs quadrature oracle")
 
-    p_table.add_argument("id", type=int, choices=[1, 2, 3])
+    p_table.add_argument("id", type=int, choices=sorted(_TABLES))
     for p in (p_solve, p_scan, p_val):
         p.add_argument("--potential", choices=POTENTIAL_NAMES)
         p.add_argument("--A", type=float, help="Yukawa strength / Kratzer Coulomb strength (default 1)")
@@ -344,18 +313,15 @@ def build_parser():
         p.add_argument("--lambda", type=float, default=1.0, help="basis scale")
     p_scan.add_argument("--lambda-grid", help="lo:hi:step or comma-separated lam values")
     p_scan.add_argument("--tol-plateau", type=float, default=1e-9)
-    p_scan.add_argument("--threads", type=int,
-                        help="worker threads over the lam grid (results unchanged); "
-                             "LAPACK calls hold the GIL, so only the numpy part "
-                             "of the solves overlaps")
     p_val.add_argument("--limit", type=int, default=40, help="validate elements with n, m <= limit")
     p_val.add_argument("--order", type=int, default=300, help="quadrature order")
-    for p in (p_solve, p_scan, p_table, p_val):
+    for p, run in ((p_solve, cmd_solve), (p_scan, cmd_scan), (p_table, cmd_table),
+                   (p_val, cmd_validate)):
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--config", help="key=value file of this subcommand's long options; flags override")
         p.add_argument("--dump-config", action="store_true")
         # main reads the file's keys against the subcommand's own options
-        p.set_defaults(subparser=p)
+        p.set_defaults(subparser=p, run=run)
     return parser
 
 
@@ -370,18 +336,11 @@ def main(argv=None):
             args = parser.parse_args(argv)
         cfg = {key: getattr(args, action.dest) for key, action in options.items()}
         if args.dump_config:
-            sys.stdout.write(_dump_config(cfg))
+            sys.stdout.write("\n".join(_pairs(dict(cfg, out=None))) + "\n")
             return EXIT_OK
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        if args.command == "table":
-            return cmd_table(cfg, args.id)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise ConfigError("unknown command %r" % args.command)
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as e:
+        return args.run(cfg, args)
+    except np.linalg.LinAlgError as e:
+        # NotPositiveDefiniteError among them
         print("numerical failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as e:

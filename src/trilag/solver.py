@@ -7,6 +7,7 @@ the critical screening where a level detaches into the continuum.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -150,7 +151,11 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     15, two rounds) two threads take 145-165 ms against 139-150 ms serially
     when BLAS runs on one thread, and 145-155 ms against 126-139 ms on the
     default BLAS pool, where the two levels of threads compete for the
-    cores.
+    cores.  Through the CLI (`trilag scan --potential kratzer --B 1 --ell 1
+    --N 400 --lambda-grid 1:8.5:0.5 --k 3`, same machine, four rounds) two
+    threads took 166-190 ms against 153-177 ms serially on the default
+    pool, and 182-195 ms against 177-189 ms on one BLAS thread, so the CLI
+    scans serially.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -230,6 +235,8 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     bisection stops at width tol, or where the bracket has no float
     between its ends.
     """
+    if not isinstance(level, numbers.Integral) or level < 0:
+        raise ValueError("level must be an integer >= 0, got %r" % (level,))
     if not tol > 0:
         raise ValueError("tol must be > 0, got %r" % (tol,))
     if basis is None:

@@ -13,7 +13,7 @@ def run(capsys, *argv):
 
 # each subcommand registers only the options it reads; any other is a usage error
 @pytest.mark.parametrize("argv", [
-    ["solve", "--threads", "2"],
+    ["scan", "--threads", "2"],
     ["solve", "--tol-plateau", "1e-9"],
     ["scan", "--lambda", "2"],
     ["table", "1", "--potential", "morse"],
@@ -172,19 +172,6 @@ class TestScan:
         assert code == EXIT_OK
         assert "# plateau: [1, 5]" in out
 
-    def test_threads_do_not_change_output(self, capsys):
-        argv = ("scan", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "60",
-                "--lambda-grid", "1:3:0.5", "--k", "2")
-        code1, out1, _ = run(capsys, *argv, "--threads", "1")
-        code2, out2, _ = run(capsys, *argv, "--threads", "2")
-        assert code1 == code2 == EXIT_OK
-        # the parameter echo names the thread count; everything after it
-        # is byte-identical
-        echo1, body1 = out1.split("\n", 1)
-        echo2, body2 = out2.split("\n", 1)
-        assert echo1.replace("threads=1", "threads=2") == echo2
-        assert body1 == body2
-
     def test_small_grid_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--potential", "yukawa-cos", "--delta", "0.5",
                            "--lambda-grid", "1,2")
@@ -192,12 +179,44 @@ class TestScan:
         assert "grid" in err
 
 
+def _golden_cells(table_id):
+    """The dicts that hold a table's golden levels."""
+    if table_id == "3":
+        return [by_beta for _, by_beta in _golden.TABLE3]
+    return [_golden.TABLE1 if table_id == "1" else _golden.TABLE2]
+
+
 class TestTable:
+    # the CSV header and the one row per golden level that perfbench's table check reads
+    HEADERS = {
+        "1": "delta,level,energy,golden,diff",
+        "2": "B,ell,n,energy,golden,diff,exact_gap,flag",
+        "3": "ell,r0,width,V0,beta,level,energy,golden,diff",
+    }
+
     @pytest.mark.parametrize("table_id", ["1", "2", "3"])
     def test_reproduction(self, capsys, table_id):
+        header = self.HEADERS[table_id]
         code, out, _ = run(capsys, "table", table_id)
         assert code == EXIT_OK
         assert "REGRESSION" not in out
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        assert lines[0] == header
+        golden = sum(len(levels) for cells in _golden_cells(table_id) for levels in cells.values())
+        assert len(lines) - 1 == golden
+        assert all(len(l.split(",")) == len(header.split(",")) for l in lines[1:])
+
+    @pytest.mark.parametrize("table_id", ["1", "2", "3"])
+    def test_regression_is_counted(self, capsys, monkeypatch, table_id):
+        # one golden level moved far beyond any tolerance
+        cells = _golden_cells(table_id)[0]
+        key = min(cells)
+        moved = list(cells[key])
+        moved[0] += 1.0
+        monkeypatch.setitem(cells, key, moved)
+        code, out, _ = run(capsys, "table", table_id)
+        assert code == EXIT_VALIDATION
+        assert out.endswith("# REGRESSION: 1 cell(s) beyond tolerance\n")
 
     def test_flagged_cells_are_marked(self, capsys):
         _, out, _ = run(capsys, "table", "2")
@@ -241,7 +260,7 @@ class TestConfigFile:
         ("solve", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "80",
          "--lambda", "2"),
         ("scan", "--potential", "yukawa-cos", "--delta", "0.5", "--N", "60",
-         "--lambda-grid", "1:3:0.5", "--k", "2", "--threads", "2"),
+         "--lambda-grid", "1:3:0.5", "--k", "2", "--tol-plateau", "1e-8"),
         ("validate", "--potential", "morse", "--V0", "-6", "--r0", "4", "--width", "1.5",
          "--beta", "0.8", "--ell", "1", "--lambda", "6", "--limit", "20", "--order", "100"),
         ("table", "1"),
@@ -272,15 +291,15 @@ class TestConfigFile:
 
     def test_key_of_another_subcommand_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("potential=yukawa-cos\ndelta=0.5\nthreads=2\n")
+        cfgfile.write_text("potential=yukawa-cos\ndelta=0.5\ntol-plateau=1e-8\n")
         code, _, err = run(capsys, "solve", "--config", str(cfgfile))
         assert code == EXIT_CONFIG
         assert "%s:3" % cfgfile in err
-        assert "threads" in err
+        assert "tol-plateau" in err
         code, out, _ = run(capsys, "scan", "--config", str(cfgfile), "--N", "60",
                            "--lambda-grid", "1:3:0.5")
         assert code == EXIT_OK
-        assert "threads=2" in out.splitlines()[0]
+        assert "tol-plateau=1e-08" in out.splitlines()[0]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--config", "/nonexistent/run.cfg")

@@ -193,6 +193,15 @@ class TestCriticalScreening:
         assert critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5)) == 0.32095947265625
         assert critical_screening(cos_yukawa(0.1), 0, 2, (0.1, 0.2)) == 0.10649414062500001
 
+    @pytest.mark.parametrize("level", [1.5, -1, "1", None])
+    def test_level_must_be_integer_at_least_zero(self, level):
+        # not numpy's IndexError from w[1.5], nor the solver's "k must be >= 1"
+        with pytest.raises(ValueError, match="level must be an integer >= 0"):
+            critical_screening(cos_yukawa(0.1), 0, level, (0.2, 0.5))
+
+    def test_numpy_integer_level(self):
+        assert critical_screening(cos_yukawa(0.1), 0, np.int64(1), (0.2, 0.5)) == 0.32095947265625
+
     @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
