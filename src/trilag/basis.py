@@ -1,7 +1,15 @@
 """Laguerre basis configuration and its two structural matrices.
 
 The radial basis is phi_n(x) = a_n x^alpha e^{-x/2} L_n^nu(x) with x = lam*r,
-nu = 2|ell|, alpha = |ell| + 1/2 and the norm a_n = sqrt(lam n!/Gamma(n+nu+1)).
+alpha = (nu+1)/2 and the norm a_n = sqrt(lam n!/Gamma(n+nu+1)).  The paper's
+index is nu = 2|ell|, so that phi_n behaves like r^{|ell|+1/2} at the origin
+and H0 holds the centrifugal term ell^2/(2 r^2).  Any real nu >= 0 is a
+basis; H0(nu) then holds nu^2/(8 r^2) in its place, and a potential's matrix
+carries the difference (potentials.Potential).  A BasisSpec built without nu
+reads 2|ell|, and the solver drivers replace it by the potential's natural
+index: 2 sqrt(ell^2 + B) for the Kratzer well, whose B/(2 r^2) term H0(nu)
+then absorbs.
+
 In this basis the reference (kinetic + centrifugal) Hamiltonian H0 and the
 overlap S are both exactly tridiagonal; the basis is not orthogonal, so
 spectra come from the pencil H f = E S f.  The norms a_n enter the potential
@@ -16,7 +24,8 @@ callers that want them.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +35,18 @@ __all__ = ["BasisSpec", "overlap_matrix", "h0_matrix"]
 @dataclass(frozen=True)
 class BasisSpec:
     """Finite basis scale lam > 0, integer angular momentum ell (any sign),
-    integer size N >= 1."""
+    integer size N >= 1 and Laguerre index nu >= 0.
+
+    nu left out reads 2|ell| (the radial equation depends on ell only
+    through ell^2), and nu_given is False: the solver drivers then use the
+    potential's natural index instead.
+    """
 
     lam: float
     ell: int
     size: int
+    nu: Optional[float] = None
+    nu_given: bool = field(init=False, default=True)
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -39,21 +55,30 @@ class BasisSpec:
             raise ValueError("angular momentum ell must be an integer, got %r" % (self.ell,))
         if not isinstance(self.size, numbers.Integral) or self.size < 1:
             raise ValueError("basis size must be an integer >= 1, got %r" % (self.size,))
-
-    @property
-    def nu(self):
-        # the radial equation depends on ell only through ell^2
-        return 2.0 * abs(self.ell)
+        if self.nu is None:
+            object.__setattr__(self, "nu_given", False)
+            object.__setattr__(self, "nu", 2.0 * abs(self.ell))
+        elif not (isinstance(self.nu, numbers.Real) and math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError("basis index nu must be finite and >= 0, got %r" % (self.nu,))
+        else:
+            object.__setattr__(self, "nu", float(self.nu))
 
     @property
     def alpha(self):
-        return abs(self.ell) + 0.5
+        return (self.nu + 1) / 2
+
+    def _replace(self, **changes):
+        # an index left out stays left out
+        return replace(self, **{"nu": self.nu if self.nu_given else None, **changes})
 
     def with_lam(self, lam):
-        return BasisSpec(lam=float(lam), ell=self.ell, size=self.size)
+        return self._replace(lam=float(lam))
 
     def with_size(self, size):
-        return BasisSpec(lam=self.lam, ell=self.ell, size=int(size))
+        return self._replace(size=int(size))
+
+    def with_nu(self, nu):
+        return self._replace(nu=nu)
 
 
 def _bands(basis):

@@ -35,6 +35,19 @@ one cubic step every request pays.  Three kinds of request follow it:
 - the k lowest eigenvalues only (lowest_eigenvalues): Sturm-sequence
   bisection on T (dstebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967),
   O(N k), with neither Q nor L^{-T} applied to anything.
+
+A fourth kind needs no reduction at all: the k lowest eigenvalues of a
+TridiagonalPencil, H = M - c S with M diagonal and S tridiagonal, which is
+the basis pencil of any potential whose matrix is diagonal (the Kratzer well
+at its natural basis index, a J-matrix pencil: Heller & Yamani, Phys. Rev. A
+9, 1201 (1974)).  With eps = E + c it reads M f = eps S f.  Where M is
+positive definite, S f = (1/eps) M f makes the levels E = 1/mu - c, mu the
+k largest eigenvalues of the tridiagonal M^{-1/2} S M^{-1/2}: one dstebz.
+Elsewhere each level is bisected on Sturm counts of T(eps) = M - eps S,
+whose number of negative eigenvalues is, by Sylvester's law of inertia (S
+is positive definite), the number of levels below eps; dstebz with a value
+range and no refinement returns that count in O(N).  Neither forms a dense
+matrix or calls dsytrd.
 """
 
 import warnings
@@ -53,7 +66,8 @@ from scipy.linalg.lapack import (
     dtbtrs,
 )
 
-__all__ = ["Pencil", "NotPositiveDefiniteError", "lowest_eigenvalues", "solve_pencil"]
+__all__ = ["Pencil", "TridiagonalPencil", "NotPositiveDefiniteError", "lowest_eigenvalues",
+           "solve_pencil"]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -82,6 +96,24 @@ class Pencil:
         overwrite h: never, h is the caller's."""
         c = _band_cholesky(np.asarray(self.s, dtype=float))
         return c, np.asarray(self.h, dtype=float), False
+
+
+@dataclass(frozen=True)
+class TridiagonalPencil:
+    """The pencil H = diag(m) - shift S, where S is the positive definite
+    tridiagonal matrix with diagonal s and subdiagonal t."""
+
+    m: np.ndarray
+    shift: float
+    s: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        if not (len(self.m) == len(self.s) == len(self.t) + 1 >= 1):
+            raise ValueError("a tridiagonal pencil takes N-long m and s and an (N-1)-long t")
+        # a bracket of the levels doubles out until the Sturm counts settle
+        if not all(np.isfinite(x).all() for x in (self.m, self.shift, self.s, self.t)):
+            raise ValueError("tridiagonal pencil entries must be finite")
 
 
 def _check_info(info, routine):
@@ -277,18 +309,82 @@ def solve_pencil(p, eigvecs=False, below=np.inf):
 # dstebz's absolute tolerance: twice the smallest normal number is LAPACK's
 # choice for maximal accuracy (abstol = 0 stops at about eps |T| instead)
 _BISECT_TOL = 2 * np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+_EPS = np.finfo(float).eps
+
+
+def _sturm_count(p, eps):
+    """The number of levels of the tridiagonal pencil p with E + p.shift <= eps."""
+    # an abstol wider than any interval: dstebz counts at the range ends and stops
+    m, _, _, _, info = dstebz(p.m - eps * p.s, -eps * p.t, 1, -_HUGE, 0.0, 0, 0, _HUGE, "E")
+    _check_converged(info, "dstebz")
+    return m
+
+
+def _sturm_levels(p, k):
+    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending,
+    bisected on Sturm counts to a relative width 2 eps.
+
+    The bracket comes from the counts: it doubles out from the scale of m
+    until no level lies below its lower end and k levels below its upper
+    end.  Each count narrows the brackets of every level still open.
+    """
+    lo = -max(1.0, float(np.max(np.abs(p.m))))
+    while _sturm_count(p, lo) > 0:
+        lo *= 2
+    hi = -lo
+    while _sturm_count(p, hi) < k:
+        hi *= 2
+    # count(los[i]) <= i < count(his[i]) for every level i
+    los, his = [lo] * k, [hi] * k
+    for j in range(k):
+        a, b = los[j], his[j]
+        while b - a > 2 * _EPS * max(abs(a), abs(b)):
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            n = _sturm_count(p, mid)
+            if n > j:
+                b = mid
+                for i in range(j + 1, min(n, k)):
+                    his[i] = min(his[i], mid)
+            else:
+                a = mid
+            for i in range(max(n, j + 1), k):
+                los[i] = max(los[i], mid)
+        los[j] = 0.5 * (a + b)
+    return np.array(los)
+
+
+def _tridiagonal_lowest(p, k):
+    """The k lowest levels of the tridiagonal pencil p, ascending (k <= N)."""
+    N = len(p.m)
+    if N == 1:
+        return p.m / p.s - p.shift
+    if np.all(p.m > 0):
+        # mu = 1/eps: the k largest eigenvalues of M^{-1/2} S M^{-1/2}
+        r = 1 / np.sqrt(p.m)
+        d, e = p.s * r * r, p.t * r[1:] * r[:-1]
+        _, mu, _, _, info = dstebz(d, e, 2, 0.0, 0.0, N - k + 1, N, _BISECT_TOL, "E")
+        _check_converged(info, "dstebz")
+        return 1 / mu[k - 1::-1] - p.shift
+    return _sturm_levels(p, k) - p.shift
 
 
 def lowest_eigenvalues(p, k):
     """The min(k, N) lowest eigenvalues of the pencil, ascending.
 
-    No eigenvectors are formed: after the one tridiagonalisation the levels
-    come from Sturm-sequence bisection on T (dstebz), O(N k).  Emits the
-    same warning as solve_pencil when the squared Cholesky pivot ratio of
-    S, a lower bound on its condition number, exceeds 1e12.
+    No eigenvectors are formed.  A TridiagonalPencil is solved as it
+    stands, O(N) per bisection step (see the module notes).  Any other
+    pencil is tridiagonalised once and its levels come from Sturm-sequence
+    bisection on T (dstebz), O(N k); it emits the same warning as
+    solve_pencil when the squared Cholesky pivot ratio of S, a lower bound
+    on its condition number, exceeds 1e12.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if isinstance(p, TridiagonalPencil):
+        return _tridiagonal_lowest(p, min(k, len(p.m)))
     _, _, d, e, _ = _tridiagonalize(p)
     N = len(d)
     if N == 1:

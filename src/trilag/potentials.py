@@ -45,7 +45,12 @@ ratio recurrences in longdouble; every O(N^3) step is a float64 dsyrk.
 The Kratzer inverse-square matrix is rank one below the diagonal,
 (lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
 vectors built by the ratio recurrence a_n/a_{n-1} = sqrt(n/(n+nu)) in
-longdouble, with no gamma functions and no per-element exp.
+longdouble, with no gamma functions and no per-element exp.  H0(nu) holds
+nu^2/(8 r^2) where the well has (ell^2 + B)/(2 r^2), so the kernel enters
+with the excess B + ell^2 - nu^2/4 in place of B: B itself at the paper's
+nu = 2|ell|, and nothing at the natural nu = 2 sqrt(ell^2 + B), where the
+Kratzer matrix is the constant diagonal -coulomb lam and the pencil
+H0 + V is tridiagonal (diagonal()).
 
 The cosine and sine wells -(A/r) cos(mu_im r) e^{-mu_re r} and
 +(A/r) sin(mu_im r) e^{-mu_re r} have no such cancellation-free form: the
@@ -95,10 +100,31 @@ def _require_finite(params, *names):
 class Potential:
     """A family's parameters: matrix(basis) is its real symmetric matrix in the
     basis, radial(r) the V(r) the quadrature oracle integrates and
-    oracle_nu(basis) that oracle's weight_nu, by default the basis's nu."""
+    oracle_nu(basis) that oracle's weight_nu, by default the basis's nu.
+
+    natural_nu(ell) is the basis index the solver drivers use when the
+    basis leaves nu out; H0 of that index holds the well's whole 1/r^2 term.
+    matrix(basis) is the well less the part of its 1/r^2 term that H0 of
+    the basis's nu holds, so it equals the oracle's matrix of radial at the
+    paper's nu = 2|ell|.  diagonal(basis) is the diagonal of matrix(basis)
+    when that matrix is diagonal, else None.
+    """
 
     def oracle_nu(self, basis):
         return basis.nu
+
+    def natural_nu(self, ell):
+        return 2.0 * abs(ell)
+
+    def diagonal(self, basis):
+        return None
+
+
+def _require_paper_nu(basis):
+    # H0 of any other index would hold a centrifugal term these wells lack
+    if basis.nu != 2.0 * abs(basis.ell):
+        raise ValueError("this potential needs the basis index nu = 2|ell| = %r, got nu = %r"
+                         % (2.0 * abs(basis.ell), basis.nu))
 
 
 @dataclass(frozen=True)
@@ -133,6 +159,7 @@ class YukawaParams(Potential):
             raise ValueError("classical variant requires mu_im = 0")
 
     def matrix(self, basis):
+        _require_paper_nu(basis)
         return yukawa_matrix(self, basis)
 
     def radial(self, r):
@@ -174,6 +201,22 @@ class KratzerParams(Potential):
         # the integrand; one power less of weight makes it polynomial (hence exact)
         return basis.nu - 1.0
 
+    def natural_nu(self, ell):
+        return 2.0 * math.sqrt(ell * ell + self.inverse_square)
+
+    def excess(self, basis):
+        """B + ell^2 - nu^2/4, the coefficient of the 1/(2 r^2) term that H0 of
+        the basis leaves to the matrix: exactly B at nu = 2|ell| and exactly 0
+        at the natural nu."""
+        if basis.nu == self.natural_nu(basis.ell):
+            return 0.0
+        return self.inverse_square + (basis.ell ** 2 - basis.nu ** 2 / 4)
+
+    def diagonal(self, basis):
+        if self.excess(basis) != 0:
+            return None
+        return np.full(basis.size, -self.coulomb * basis.lam)
+
 
 @dataclass(frozen=True)
 class MorseParams(Potential):
@@ -194,6 +237,7 @@ class MorseParams(Potential):
             raise ValueError("beta must be >= 0")
 
     def matrix(self, basis):
+        _require_paper_nu(basis)
         return morse_matrix(self, basis)
 
     def radial(self, r):
@@ -322,35 +366,40 @@ _HUGE = np.finfo(float).max
 
 
 def kratzer_matrix(p, basis):
-    """Kratzer potential matrix; requires |ell| >= 1.
+    """Kratzer potential matrix, less the part of B/(2 r^2) that H0 of the basis holds.
 
     The Coulomb part is exactly diagonal (constant -coulomb lam) by the
-    x^nu-weight orthogonality.  The inverse-square part has the closed form
-    V2_nm = (lam B / 2) a_n a_m Gamma(min(n,m)+nu+1) / (nu min(n,m)!),
+    x^nu-weight orthogonality.  The inverse-square part, with the
+    coefficient c = p.excess(basis) (B at the paper's nu = 2|ell|), has the
+    closed form V2_nm = (lam c / 2) a_n a_m Gamma(min(n,m)+nu+1) / (nu min(n,m)!),
     obtained by telescoping L_n^nu into lower-index polynomials; it
-    diverges for nu = 0, which is rejected.
+    diverges for nu = 0, which is rejected unless c = 0.  At the natural
+    nu, c = 0 and the matrix is the diagonal alone.
 
     Since a_m^2 = lam m!/Gamma(m+nu+1), the lower triangle (m <= n) is
-    (lam^2 B / 2 nu) a_n/a_m, rank one: the outer product of g a and 1/a,
-    with g = lam^2 B / 2 nu and a_n/a_0 = prod_{k<=n} sqrt(k/(k+nu)) taken in
+    (lam^2 c / 2 nu) a_n/a_m, rank one: the outer product of g a and 1/a,
+    with g = lam^2 c / 2 nu and a_n/a_0 = prod_{k<=n} sqrt(k/(k+nu)) taken in
     longdouble, about 2 ulp per element.  The diagonal is set directly to
     g - coulomb lam, so it is exactly zero where the two terms cancel.  When
     some entry of the outer product would leave the normal float64 range
     (at N = 800 and g near 1, from ell = 678 on), the product is formed in
-    longdouble and only its lower triangle, which is at most g, is cast.
+    longdouble and only its lower triangle, which is at most |g|, is cast.
     """
-    nu = basis.nu
+    N, nu = basis.size, basis.nu
+    c = p.excess(basis)
+    if c == 0:
+        return np.diag(p.diagonal(basis))
     if nu == 0:
         raise ValueError(
-            "Kratzer elements require |ell| >= 1: the 1/r^2 integral diverges at nu = 0"
+            "Kratzer elements at nu = 0 need |ell| >= 1 or the natural nu = 2 sqrt(ell^2 + B): "
+            "the 1/r^2 integral diverges at nu = 0"
         )
-    N = basis.size
-    g = basis.lam ** 2 * p.inverse_square / (2.0 * nu)
+    g = basis.lam ** 2 * c / (2.0 * nu)
     k = np.arange(1, N, dtype=np.longdouble)
     a = np.ones(N, dtype=np.longdouble)
     np.cumprod(np.sqrt(k / (k + nu)), out=a[1:])
-    # a falls from a_0 = 1, so the outer product spans [g a_{N-1}, g / a_{N-1}]
-    if g * a[-1] >= _TINY and g / a[-1] <= _HUGE:
+    # a falls from a_0 = 1, so the outer product spans [|g| a_{N-1}, |g| / a_{N-1}]
+    if abs(g) * a[-1] >= _TINY and abs(g) / a[-1] <= _HUGE:
         V = np.multiply.outer((g * a).astype(float), (1 / a).astype(float))
     else:
         # above the diagonal g a_n/a_m would overflow the cast to float64

@@ -4,6 +4,11 @@ Assembles H = H0 + V for a potential family, solves the generalized
 eigenproblem, extracts bound states, scans the basis scale lam for the
 stability plateau, tracks convergence in the basis size N, and brackets
 the critical screening where a level detaches into the continuum.
+
+A basis that leaves its index nu out is solved at the potential's natural
+index (Potential.natural_nu), and the result records the index used.  Where
+the potential's matrix is diagonal there (the Kratzer well), lambda_scan and
+converge_in_n hand the eigen layer the tridiagonal pencil H0 + V itself.
 """
 
 import math
@@ -14,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BasisSpec, _add_h0, _overlap_factor
-from .eigen import lowest_eigenvalues, solve_pencil
+from .basis import BasisSpec, _add_h0, _bands, _overlap_factor
+from .eigen import TridiagonalPencil, lowest_eigenvalues, solve_pencil
 from .potentials import Potential
 
 __all__ = [
@@ -44,7 +49,7 @@ class SpectrumResult:
 
     energies: np.ndarray
     bound: np.ndarray
-    basis: BasisSpec
+    basis: BasisSpec  # with the index nu the solve used
     potential: Potential
     suspect: tuple    # indices of bound levels flagged as truncation artifacts
     unresolved: tuple # indices within ZERO_BAND of zero
@@ -83,6 +88,26 @@ def _pencil(potential, basis):
     return _BasisPencil(_add_h0(potential.matrix(basis), basis), basis)
 
 
+def _resolve(potential, basis):
+    """The basis with its index: the caller's nu, else the potential's natural one."""
+    return basis if basis.nu_given else basis.with_nu(potential.natural_nu(basis.ell))
+
+
+def _lowest(potential, basis, k):
+    """The k lowest levels of the potential in the basis, for the drivers.
+
+    A diagonal potential matrix v makes the pencil tridiagonal: H0's bands
+    are c (2 s - S) with c = lam^2/8 and s the diagonal of S, so
+    H0 + diag(v) = diag(2 c s + v) - c S, and no dense matrix is formed.
+    """
+    v = potential.diagonal(basis)
+    if v is None:
+        return lowest_eigenvalues(_pencil(potential, basis), k)
+    s, t = _bands(basis)
+    c = basis.lam ** 2 / 8.0
+    return lowest_eigenvalues(TridiagonalPencil(2 * c * s + v, c, s, -t), k)
+
+
 def bound_states(potential, basis):
     """Assemble H = H0 + V and solve; negative eigenvalues are bound states.
 
@@ -90,6 +115,7 @@ def bound_states(potential, basis):
     whose S-normalized coefficient vector has more than half its norm in
     the last GUARD_TAIL coefficients is flagged suspect.
     """
+    basis = _resolve(potential, basis)
     # vectors only for the bound levels, which are the first columns
     w, F = solve_pencil(_pencil(potential, basis), eigvecs=True, below=-ZERO_BAND)
     unresolved = tuple(i for i, e in enumerate(w) if abs(e) <= ZERO_BAND)
@@ -143,19 +169,15 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     Absence of a plateau is a normal outcome, not an error.
 
     Each grid point takes only the k lowest eigenvalues (no eigenvectors, no
-    truncation guard).  With threads > 1 the points are solved on a thread
-    pool, but scipy's LAPACK wrappers hold the GIL, so only the numpy part
-    of the solves (assembly, the prefix sums of the reduction) overlaps;
-    the LAPACK calls run one at a time, each on the BLAS thread pool.  On a
-    16-point Kratzer scan at N = 400, k = 3 (x86_64, 2 vCPU, medians of
-    15, two rounds) two threads take 145-165 ms against 139-150 ms serially
-    when BLAS runs on one thread, and 145-155 ms against 126-139 ms on the
-    default BLAS pool, where the two levels of threads compete for the
-    cores.  Through the CLI (`trilag scan --potential kratzer --B 1 --ell 1
-    --N 400 --lambda-grid 1:8.5:0.5 --k 3`, same machine, four rounds) two
-    threads took 166-190 ms against 153-177 ms serially on the default
-    pool, and 182-195 ms against 177-189 ms on one BLAS thread, so the CLI
-    scans serially.
+    truncation guard); for the Kratzer well at its natural index that is the
+    tridiagonal pencil, with no dense matrix.  With threads > 1 the points are
+    solved on a thread pool, but scipy's LAPACK wrappers hold the GIL, so
+    only the numpy part of the solves overlaps.  On a 16-point Kratzer scan
+    (B = 1, ell = 1, N = 400, k = 3, the grid 1:8.5:0.5; x86_64, 2 vCPU,
+    medians of 15, three rounds) the tridiagonal pencil takes 17-18 ms
+    serially and 20-22 ms on two threads, on the default BLAS pool and on
+    one BLAS thread alike, where the dense scan at nu = 2|ell| took 126-150
+    ms serially.  The CLI scans serially.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -165,8 +187,10 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     if k < 1:
         raise ValueError("k must be >= 1")
 
+    basis = _resolve(potential, basis)
+
     def solve_at(lam):
-        return lowest_eigenvalues(_pencil(potential, basis.with_lam(lam)), k)
+        return _lowest(potential, basis.with_lam(lam), k)
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -215,9 +239,8 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
     n_grid = tuple(int(N) for N in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    traces = np.array(
-        [lowest_eigenvalues(_pencil(potential, basis.with_size(N)), k) for N in n_grid]
-    )
+    basis = _resolve(potential, basis)
+    traces = np.array([_lowest(potential, basis.with_size(N), k) for N in n_grid])
     if len(n_grid) >= 2:
         converged = np.abs(traces[-1] - traces[-2]) <= tol
     else:

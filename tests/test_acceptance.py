@@ -14,7 +14,6 @@ import pytest
 
 from trilag._golden import (
     TABLE2,
-    TABLE2_FLAGGED,
     TABLE2_LAM,
     TABLE2_N,
     TABLE3,
@@ -60,26 +59,20 @@ def test_screened_coulomb_ground_states():
 
 
 def test_kratzer_five_level_spectra():
-    # all 45 reference cells: matrix path within 1e-8 of the closed-form
-    # spectrum, closed form within 1e-12 of the reference digits, and the
-    # matrix-vs-closed-form gap itself within 1e-8 except for the six
-    # near-threshold cells that are flagged rather than failed
+    # all 60 reference cells at one basis scale: matrix path within 1e-8 of
+    # the reference digits, closed form within 1e-12 of them, and the matrix
+    # path within 1e-13 of the closed form (the natural basis index makes
+    # the pencil exact)
     for (B, ell), golden in TABLE2.items():
-        lam = TABLE2_LAM[(B, ell)]
-        lams = lam if isinstance(lam, list) else [lam] * len(golden)
         p = KratzerParams(coulomb=1.0, inverse_square=B)
-        spectra = {}
+        energies = bound_states(p, BasisSpec(lam=TABLE2_LAM, ell=ell, size=TABLE2_N)).energies
         for n, want in enumerate(golden):
-            lv = lams[n]
-            if lv not in spectra:
-                spectra[lv] = bound_states(p, BasisSpec(lam=lv, ell=ell, size=TABLE2_N)).energies
-            computed = -float(spectra[lv][n])
+            computed = -float(energies[n])
             exact = -kratzer_exact(1.0, B, ell, n)
             cell = "B=%g ell=%d n=%d" % (B, ell, n)
             assert abs(computed - want) <= 1e-8, "matrix vs reference at " + cell
             assert abs(exact - want) <= 1e-12, "closed form vs reference at " + cell
-            if (B, ell, n) not in TABLE2_FLAGGED:
-                assert abs(computed - exact) <= 1e-8, "matrix vs closed form at " + cell
+            assert abs(computed - exact) <= 1e-13, "matrix vs closed form at " + cell
 
 
 def test_morse_spectra():
@@ -106,9 +99,7 @@ def test_analytic_elements_match_quadrature_oracle():
     for delta in (0.01, 0.5, 1.0, 2.0, 5.0, 9.0):
         cases.append((cos_yukawa(delta), BasisSpec(lam=2.0, ell=0, size=61)))
     for (B, ell) in TABLE2:
-        lam = TABLE2_LAM[(B, ell)]
-        lam = lam[0] if isinstance(lam, list) else lam
-        cases.append((KratzerParams(1.0, B), BasisSpec(lam=lam, ell=ell, size=61)))
+        cases.append((KratzerParams(1.0, B), BasisSpec(lam=TABLE2_LAM, ell=ell, size=61)))
     for (ell, r0, width, V0), by_beta in TABLE3:
         for beta in by_beta:
             cases.append((MorseParams(V0, r0, width, beta), BasisSpec(lam=6.0, ell=ell, size=61)))

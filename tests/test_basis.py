@@ -41,6 +41,25 @@ class TestBasisSpec:
         assert BasisSpec(lam=1.0, ell=0, size=np.int64(5)).size == 5
         assert BasisSpec(lam=np.float64(1.0), ell=-1, size=5).nu == 2.0
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), -float("inf"), -1.0, "2"])
+    def test_bad_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="basis index nu"):
+            BasisSpec(lam=1.0, ell=1, size=5, nu=nu)
+
+    def test_given_nu(self):
+        b = BasisSpec(lam=1.0, ell=1, size=5, nu=3)
+        assert (b.nu, b.alpha, b.nu_given) == (3.0, 2.0, True)
+        assert BasisSpec(lam=1.0, ell=1, size=5, nu=2.0).nu_given
+        assert not BasisSpec(lam=1.0, ell=1, size=5).nu_given
+        assert overlap_matrix(b)[0, 0] == 4.0
+
+    @pytest.mark.parametrize("nu", [None, 0.0, 3.5])
+    def test_with_lam_and_with_size_keep_nu(self, nu):
+        b = BasisSpec(lam=1.0, ell=2, size=5, nu=nu)
+        assert b.with_lam(2.0) == BasisSpec(lam=2.0, ell=2, size=5, nu=nu)
+        assert b.with_size(7) == BasisSpec(lam=1.0, ell=2, size=7, nu=nu)
+        assert b.with_nu(1.5) == BasisSpec(lam=1.0, ell=2, size=5, nu=1.5)
+
 
 class TestOverlap:
     def test_small_cases(self):

@@ -3,6 +3,7 @@ import pytest
 
 from trilag import _golden
 from trilag.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from trilag.solver import kratzer_exact
 
 
 def run(capsys, *argv):
@@ -74,11 +75,16 @@ class TestSolve:
         assert out == ""
         assert "k must be >= 1" in err
 
-    def test_kratzer_ell_zero_is_config_error(self, capsys):
-        code, _, err = run(capsys, "solve", "--potential", "kratzer", "--A", "1",
-                           "--B", "50", "--ell", "0")
-        assert code == EXIT_CONFIG
-        assert "ell" in err
+    def test_kratzer_ell_zero_solves(self, capsys):
+        # at its natural basis index nu = 2 sqrt(B) the well needs no 1/r^2
+        # kernel; the four lowest levels are exact at N = 100, lam = 1 (the
+        # fifth is 1.6e-11 off, and the higher ones are truncated)
+        code, out, _ = run(capsys, "solve", "--potential", "kratzer", "--B", "50", "--ell", "0")
+        assert code == EXIT_OK
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        got = [float(row[1]) for row in rows[:4]]
+        want = [kratzer_exact(1.0, 50.0, 0, n) for n in range(4)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_missing_potential(self, capsys):
         code, _, err = run(capsys, "solve", "--delta", "0.5")
@@ -190,7 +196,7 @@ class TestTable:
     # the CSV header and the one row per golden level that perfbench's table check reads
     HEADERS = {
         "1": "delta,level,energy,golden,diff",
-        "2": "B,ell,n,energy,golden,diff,exact_gap,flag",
+        "2": "B,ell,n,energy,golden,diff,exact_gap",
         "3": "ell,r0,width,V0,beta,level,energy,golden,diff",
     }
 
@@ -217,11 +223,6 @@ class TestTable:
         code, out, _ = run(capsys, "table", table_id)
         assert code == EXIT_VALIDATION
         assert out.endswith("# REGRESSION: 1 cell(s) beyond tolerance\n")
-
-    def test_flagged_cells_are_marked(self, capsys):
-        _, out, _ = run(capsys, "table", "2")
-        flagged = [l for l in out.splitlines() if l.endswith("near-threshold")]
-        assert len(flagged) == 6
 
 
 class TestValidate:

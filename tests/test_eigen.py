@@ -10,6 +10,7 @@ from trilag.basis import BasisSpec, _overlap_factor, h0_matrix, overlap_matrix
 from trilag.eigen import (
     NotPositiveDefiniteError,
     Pencil,
+    TridiagonalPencil,
     _band_cholesky,
     _generators,
     _reduce,
@@ -334,3 +335,33 @@ class TestReductionPathChoice:
         ref = sla.eigh(p.h, p.s, eigvals_only=True)
         np.testing.assert_allclose(solve_pencil(p), ref, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+class TestTridiagonalPencil:
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="tridiagonal pencil"):
+            TridiagonalPencil(np.ones(3), 0.5, np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="tridiagonal pencil"):
+            TridiagonalPencil(np.ones(0), 0.5, np.ones(0), np.ones(0))
+        with pytest.raises(ValueError, match="finite"):
+            TridiagonalPencil(np.ones(2), np.nan, np.ones(2), np.ones(1))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.7])
+    @pytest.mark.parametrize("low", [-3.0, 0.5])
+    def test_matches_dense_pencil(self, low, shift):
+        # any diagonal m, definite (low > 0) or not, and any positive definite S
+        rng = np.random.default_rng(7)
+        N = 40
+        m = np.sort(rng.uniform(low, 10.0, N))
+        s = rng.uniform(2.0, 3.0, N)
+        t = rng.uniform(-1.0, 1.0, N - 1)
+        S = np.diag(s) + np.diag(t, 1) + np.diag(t, -1)
+        ref = sla.eigh(np.diag(m) - shift * S, S, eigvals_only=True)
+        for k in (1, 5, N):
+            w = lowest_eigenvalues(TridiagonalPencil(m, shift, s, t), k)
+            np.testing.assert_allclose(w, ref[:k], rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_single_function(self):
+        w = lowest_eigenvalues(TridiagonalPencil(np.array([-1.0]), 0.5, np.array([2.0]),
+                                                 np.zeros(0)), 3)
+        assert w.tolist() == [-1.0]

@@ -58,10 +58,10 @@ MORSE_WELL = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8)
 
 class TestTruncationGuard:
     # small bases at badly chosen lam, where some bound levels are
-    # truncation artifacts
+    # truncation artifacts; the Kratzer cases at the paper's index nu = 2|ell|
     CASES = [
-        (KRATZER_B1, BasisSpec(0.05, 1, 20), (0,) + tuple(range(13, 20))),
-        (KRATZER_B1, BasisSpec(0.05, 1, 40), tuple(range(33, 39))),
+        (KRATZER_B1, BasisSpec(0.05, 1, 20, nu=2.0), (0,) + tuple(range(13, 20))),
+        (KRATZER_B1, BasisSpec(0.05, 1, 40, nu=2.0), tuple(range(33, 39))),
         (cos_yukawa(0.1), BasisSpec(0.05, 0, 20), (0,)),
         (MORSE_WELL, BasisSpec(0.2, 1, 20), (0,)),
         (MORSE_WELL, BasisSpec(0.05, 1, 100), (1,)),
@@ -342,3 +342,105 @@ class TestNoDenseOverlapOrH0:
     def test_critical_screening(self, no_dense):
         dc = critical_screening(cos_yukawa(0.1), ell=0, level=1, bracket=(0.2, 0.5))
         assert dc == 0.32095947265625
+
+
+class TestNaturalIndex:
+    # a basis that leaves nu out is solved at the potential's natural index,
+    # 2 sqrt(ell^2 + B) for the Kratzer well, and the result records it
+    def test_result_records_the_index(self):
+        r = bound_states(KRATZER_B1, BasisSpec(0.5, 1, 30))
+        assert r.basis == BasisSpec(0.5, 1, 30, nu=2 * np.sqrt(2.0))
+        r = bound_states(KRATZER_B1, BasisSpec(0.5, 1, 30, nu=2.0))
+        assert r.basis == BasisSpec(0.5, 1, 30, nu=2.0)
+        r = bound_states(cos_yukawa(0.5), BasisSpec(2.0, 1, 30))
+        assert r.basis == BasisSpec(2.0, 1, 30, nu=2.0)
+
+    def test_other_families_need_the_paper_index(self):
+        for p in (cos_yukawa(0.5), MORSE_WELL):
+            with pytest.raises(ValueError, match="nu = 2|ell|"):
+                bound_states(p, BasisSpec(2.0, 1, 30, nu=3.0))
+
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_drivers_exact(self, ell):
+        p = KratzerParams(coulomb=1.0, inverse_square=1.0)
+        exact = [kratzer_exact(1.0, 1.0, ell, n) for n in range(3)]
+        report = lambda_scan(p, BasisSpec(1.0, ell, 200), np.arange(0.5, 3.01, 0.5), k=3)
+        np.testing.assert_allclose(report.traces, np.tile(exact, (6, 1)), rtol=0, atol=1e-14)
+        table = converge_in_n(p, BasisSpec(0.3, ell, 100), (100, 200), k=3)
+        np.testing.assert_allclose(table.traces, np.tile(exact, (2, 1)), rtol=0, atol=1e-14)
+
+
+# (B, ell, lam) on both sides of lam = 4 A / (nu + 1), where M = H + (lam^2/8) S
+# stops being positive definite
+TRIDIAGONAL_CASES = [(B, ell, lam) for B, ell in [(1.0, 1), (5.0, 2), (50.0, 0), (0.1, 0)]
+                     for lam in (0.2, 0.5, 1.5)]
+
+
+class TestTridiagonalPencil:
+    @pytest.mark.parametrize("N", [1, 2, 10, 100, 200])
+    @pytest.mark.parametrize("B,ell,lam", TRIDIAGONAL_CASES)
+    def test_matches_dense_pencil(self, B, ell, lam, N):
+        # the k lowest levels, positive ones among them, against the dense
+        # reduction of the same nu = 2 sqrt(ell^2 + B) pencil
+        p = KratzerParams(coulomb=1.0, inverse_square=B)
+        b = BasisSpec(lam, ell, N, nu=p.natural_nu(ell))
+        ref = solve_pencil(Pencil(h0_matrix(b) + p.matrix(b), overlap_matrix(b)))
+        for k in sorted({1, 3, N // 2, N + 1} - {0}):
+            w = solver._lowest(p, b, k)
+            assert len(w) == min(k, N)
+            np.testing.assert_allclose(w, ref[:k], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(ref[:k]).max()))
+
+    def test_cases_cover_both_paths(self):
+        above = {lam > 4 / (KratzerParams(1.0, B).natural_nu(ell) + 1)
+                 for B, ell, lam in TRIDIAGONAL_CASES}
+        assert above == {False, True}
+
+    @pytest.fixture
+    def no_dsytrd(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("dsytrd was called")
+
+        monkeypatch.setattr(eigen, "dsytrd", fail)
+
+    def test_patch_reaches_dense_path(self, no_dsytrd):
+        with pytest.raises(AssertionError, match="dsytrd"):
+            lambda_scan(KRATZER_B1, BasisSpec(1.0, 1, 50, nu=2.0), np.arange(1.0, 3.01, 0.5), k=1)
+
+    def test_drivers_never_reduce(self, no_dsytrd):
+        p = KratzerParams(coulomb=1.0, inverse_square=5.0)
+        grid = np.arange(0.2, 2.01, 0.3)
+        report = lambda_scan(p, BasisSpec(1.0, 2, 400), grid, k=3, threads=2)
+        assert report.plateau == (grid[0], grid[-1])
+        table = converge_in_n(p, BasisSpec(0.3, 2, 100), (100, 200, 400, 800), k=5)
+        assert table.converged.all()
+
+
+class TestPaperIndexUnchanged:
+    # with nu = 2|ell| the Kratzer drivers and bound_states reproduce the
+    # values they gave before the natural index, bit for bit
+    def test_bound_states(self):
+        r = bound_states(KRATZER_B1, BasisSpec(1.5, 1, 30, nu=2.0))
+        want = [-0.1364547104646413, -0.05887443184199201, -0.032634770713591034,
+                -0.02070359839351114, -0.014132139250927296, -0.008397936538420653,
+                -0.0006858727552523197]
+        assert r.bound.tolist() == want
+        assert r.suspect == (5,)
+
+    def test_lambda_scan(self):
+        report = lambda_scan(KRATZER_B1, BasisSpec(1.0, 1, 40, nu=2.0),
+                             np.arange(1.0, 3.01, 0.5), 2)
+        want = [[-0.13645460951178892, -0.05887439902797055],
+                [-0.13645483055835986, -0.058874470938752595],
+                [-0.13645488584562046, -0.05887448901473417],
+                [-0.136454906071412, -0.05887449563885198],
+                [-0.13645491523137118, -0.05887449849112636]]
+        assert report.traces.tolist() == want
+
+    def test_converge_in_n(self):
+        table = converge_in_n(KratzerParams(1.0, 5.0), BasisSpec(0.3, 2, 20, nu=4.0),
+                              (20, 30, 40), 2)
+        want = [[-0.04081632653061081, -0.024691358024691388],
+                [-0.040816326530612214, -0.02469135802469121],
+                [-0.040816326530612325, -0.024691358024691697]]
+        assert table.traces.tolist() == want
