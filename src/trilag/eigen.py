@@ -43,11 +43,23 @@ at its natural basis index, a J-matrix pencil: Heller & Yamani, Phys. Rev. A
 9, 1201 (1974)).  With eps = E + c it reads M f = eps S f.  Where M is
 positive definite, S f = (1/eps) M f makes the levels E = 1/mu - c, mu the
 k largest eigenvalues of the tridiagonal M^{-1/2} S M^{-1/2}: one dstebz.
-Elsewhere each level is bisected on Sturm counts of T(eps) = M - eps S,
-whose number of negative eigenvalues is, by Sylvester's law of inertia (S
-is positive definite), the number of levels below eps; dstebz with a value
-range and no refinement returns that count in O(N).  Neither forms a dense
-matrix or calls dsytrd.
+Elsewhere Sturm counts of T(eps) = M - eps S, whose number of negative
+eigenvalues is, by Sylvester's law of inertia (S is positive definite,
+which the pencil checks with dpttrf), the number of levels below eps, only
+isolate each level: dstebz with a value range and no refinement returns
+that count in O(N), and bisection stops once a bracket (a, b] holds one
+level.  Rayleigh-quotient iteration on the pencil (one dgtsv solve of
+M - sigma S and a tridiagonal S product a step, O(N); Parlett, The
+Symmetric Eigenvalue Problem, ch. 4) finishes it inside (a, b], and two
+counts certify it within 4 eps relative; a level that fails is bisected.
+Neither forms a dense matrix or calls dsytrd.
+
+A fifth kind asks no eigenvalue at all: count_below, the number of levels
+below sigma, which is the number of negative eigenvalues of H - sigma S
+(Sylvester again).  A dense pencil reads it from the block-diagonal D of
+the Bunch-Kaufman factorisation H - sigma S = L D L^T (dsytrf, N^3/3 flops;
+Bunch & Kaufman, Math. Comp. 31, 1977), with no Cholesky factor, reduction
+or dsytrd; a TridiagonalPencil takes one Sturm count.
 """
 
 import warnings
@@ -55,19 +67,23 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import (
+    dgtsv,
     dormqr,
     dpbtrf,
+    dpttrf,
     dstebz,
     dstemr,
     dstemr_lwork,
     dsterf,
     dsytrd,
     dsytrd_lwork,
+    dsytrf,
+    dsytrf_lwork,
     dtbtrs,
 )
 
-__all__ = ["Pencil", "TridiagonalPencil", "NotPositiveDefiniteError", "lowest_eigenvalues",
-           "solve_pencil"]
+__all__ = ["Pencil", "TridiagonalPencil", "NotPositiveDefiniteError", "count_below",
+           "lowest_eigenvalues", "solve_pencil"]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -97,6 +113,13 @@ class Pencil:
         c = _band_cholesky(np.asarray(self.s, dtype=float))
         return c, np.asarray(self.h, dtype=float), False
 
+    def _shifted(self, sigma):
+        """A fresh H - sigma S for count_below, after checking that s is
+        positive definite (its band Cholesky factor), as a solve does."""
+        s = np.asarray(self.s, dtype=float)
+        _band_cholesky(s)
+        return np.asarray(self.h, dtype=float) - sigma * s
+
 
 @dataclass(frozen=True)
 class TridiagonalPencil:
@@ -114,6 +137,11 @@ class TridiagonalPencil:
         # a bracket of the levels doubles out until the Sturm counts settle
         if not all(np.isfinite(x).all() for x in (self.m, self.shift, self.s, self.t)):
             raise ValueError("tridiagonal pencil entries must be finite")
+        # the counts are levels only for a positive definite S (Sylvester).
+        # dpttrf on S with a decoupled unit row appended, which leaves its
+        # pivots as they are (scipy's wrapper rejects the empty t of N = 1)
+        _, _, info = dpttrf(np.append(self.s, 1.0), np.append(self.t, 0.0))
+        _check_info(info, "dpttrf")
 
 
 def _check_info(info, routine):
@@ -321,39 +349,113 @@ def _sturm_count(p, eps):
     return m
 
 
-def _sturm_levels(p, k):
-    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending,
-    bisected on Sturm counts to a relative width 2 eps.
+def _s_times(p, x):
+    """S x for the tridiagonal S of the pencil p."""
+    y = p.s * x
+    y[:-1] += p.t * x[1:]
+    y[1:] += p.t * x[:-1]
+    return y
 
-    The bracket comes from the counts: it doubles out from the scale of m
-    until no level lies below its lower end and k levels below its upper
-    end.  Each count narrows the brackets of every level still open.
+
+def _rqi_step(p, sigma, x):
+    """One Rayleigh-quotient step on M f = eps S f of the tridiagonal pencil
+    p, from the shift sigma and the unit vector x.
+
+    Solves (M - sigma S) y = S x (dgtsv) and returns the quotient
+    y^T M y / y^T S y with y / ||y||.  The quotient is formed as
+    sigma + y^T S x / y^T S y, equal since (M - sigma S) y = S x, so that
+    its rounding is that of the correction alone.  A singular M - sigma S
+    means sigma is a level: then (sigma, None).
     """
+    off = -sigma * p.t
+    sx = _s_times(p, x)
+    _, _, _, y, info = dgtsv(off, p.m - sigma * p.s, off, sx[:, None])
+    if info > 0:
+        return sigma, None
+    _check_converged(info, "dgtsv")
+    y = y[:, 0]
+    # y grows like 1/|sigma - level|; an overflow gives a NaN quotient,
+    # which no bracket accepts
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sigma + (y @ sx) / (y @ _s_times(p, y)), y / np.linalg.norm(y)
+
+
+# Rayleigh-quotient iteration converges cubically: steps taken inside one
+# bracket before a bisection step restarts it
+_RQI_STEPS = 8
+
+
+def _rayleigh(p, a, b, sigma, x):
+    """Rayleigh-quotient iteration for the one level in (a, b], from the
+    shift sigma and the unit vector x.
+
+    Returns (level, x) once a step moves the quotient by at most 2 eps
+    relative, or (None, x) as soon as a quotient leaves (a, b] or after
+    _RQI_STEPS steps; x is the last iterate.
+    """
+    for _ in range(_RQI_STEPS):
+        q, y = _rqi_step(p, sigma, x)
+        if y is None:
+            return sigma, x
+        if not a < q <= b:
+            return None, y
+        if abs(q - sigma) <= 2 * _EPS * abs(q):
+            return q, y
+        sigma, x = q, y
+    return None, x
+
+
+def _sturm_levels(p, k):
+    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending.
+
+    Sturm counts isolate each level.  The bracket comes from the counts: it
+    doubles out from the scale of m until no level lies below its lower end
+    and k levels below its upper end.  Each count narrows the brackets of
+    every level still open, and level j is bisected until its bracket
+    (a, b] holds it alone, count(a) = j and count(b) = j + 1.
+    Rayleigh-quotient iteration then finishes it; a quotient that leaves
+    (a, b] costs one more bisection step and a restart from the new
+    midpoint.  Two counts certify the result within 4 eps relative, and a
+    level that fails them is bisected to a relative width 2 eps.
+    """
+    N = len(p.m)
     lo = -max(1.0, float(np.max(np.abs(p.m))))
     while _sturm_count(p, lo) > 0:
         lo *= 2
     hi = -lo
-    while _sturm_count(p, hi) < k:
+    n_hi = _sturm_count(p, hi)
+    while n_hi < k:
         hi *= 2
-    # count(los[i]) <= i < count(his[i]) for every level i
-    los, his = [lo] * k, [hi] * k
+        n_hi = _sturm_count(p, hi)
+    # level i lies in (a, b] of brackets[i] = [a, count(a), b, count(b)]
+    brackets = [[lo, 0, hi, n_hi] for _ in range(k)]
+    levels = np.empty(k)
     for j in range(k):
-        a, b = los[j], his[j]
-        while b - a > 2 * _EPS * max(abs(a), abs(b)):
+        br = brackets[j]
+        x, rqi = np.full(N, N ** -0.5), True
+        while True:
+            a, n_a, b, n_b = br
             mid = 0.5 * (a + b)
-            if not a < mid < b:
+            if not (b - a > 2 * _EPS * max(abs(a), abs(b)) and a < mid < b):
+                levels[j] = mid
                 break
+            if rqi and n_a == j and n_b == j + 1:
+                sigma, x = _rayleigh(p, a, b, mid, x)
+                if sigma is not None:
+                    delta = 4 * _EPS * abs(sigma)
+                    if _sturm_count(p, sigma - delta) <= j < _sturm_count(p, sigma + delta):
+                        levels[j] = sigma
+                        break
+                    rqi = False
             n = _sturm_count(p, mid)
-            if n > j:
-                b = mid
-                for i in range(j + 1, min(n, k)):
-                    his[i] = min(his[i], mid)
-            else:
-                a = mid
-            for i in range(max(n, j + 1), k):
-                los[i] = max(los[i], mid)
-        los[j] = 0.5 * (a + b)
-    return np.array(los)
+            for i in range(j, k):
+                br_i = brackets[i]
+                if n > i:
+                    if mid < br_i[2]:
+                        br_i[2:] = mid, n
+                elif mid > br_i[0]:
+                    br_i[:2] = mid, n
+    return levels
 
 
 def _tridiagonal_lowest(p, k):
@@ -371,15 +473,64 @@ def _tridiagonal_lowest(p, k):
     return _sturm_levels(p, k) - p.shift
 
 
+def _inertia(a):
+    """The number of negative eigenvalues of the symmetric matrix a, read
+    from the block-diagonal D of its Bunch-Kaufman factorisation
+    a = L D L^T (dsytrf, lower); a is overwritten.
+
+    A 1 x 1 block counts its sign.  A 2 x 2 block with a negative
+    determinant holds one negative eigenvalue; otherwise both share the sign
+    of its trace (one of them is zero at a zero determinant).  A zero pivot
+    (info > 0: a is singular) is not negative.
+    """
+    N = a.shape[0]
+    # symmetric: a C-ordered buffer's transpose is the same matrix in the
+    # Fortran order dsytrf overwrites
+    a = a.T if a.flags.c_contiguous else a
+    lwork, info = dsytrf_lwork(N, lower=1)
+    _check_converged(info, "dsytrf_lwork")
+    ld, ipiv, info = dsytrf(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info < 0:
+        raise ValueError("illegal argument %d to dsytrf" % -info)
+    d = np.diagonal(ld)
+    # both rows of a 2 x 2 block carry a negative ipiv, so the rows with
+    # one pair up in order: every other one starts a block
+    k = np.flatnonzero(ipiv < 0)[::2]
+    alpha, beta, gamma = d[k], ld[k + 1, k], d[k + 1]
+    det = alpha * gamma - beta * beta
+    two = np.where(det < 0, 1, np.where(det > 0, 2, 1) * (alpha + gamma < 0))
+    return int(np.count_nonzero(d[ipiv > 0] < 0) + two.sum())
+
+
+def count_below(p, sigma):
+    """The number of levels of the pencil below sigma.
+
+    By Sylvester's law of inertia it is the number of negative eigenvalues
+    of H - sigma S (S positive definite).  A TridiagonalPencil takes one
+    Sturm count, O(N).  Any other pencil gives H - sigma S, and its
+    Bunch-Kaufman factorisation (dsytrf, N^3/3 flops) gives the count
+    (see the module notes); a Pencil first checks that s is positive
+    definite, as a solve does.  Like a solve, a count consumes the
+    solver's basis pencils, which form H - sigma S in their own H buffer.
+    Where H - sigma S is exactly singular, the dense count leaves the level
+    at sigma out and the Sturm count takes it in (dstebz counts a zero
+    pivot as negative); a level within rounding of sigma can count either
+    way.
+    """
+    if isinstance(p, TridiagonalPencil):
+        return _sturm_count(p, sigma + p.shift)
+    return _inertia(p._shifted(sigma))
+
+
 def lowest_eigenvalues(p, k):
     """The min(k, N) lowest eigenvalues of the pencil, ascending.
 
     No eigenvectors are formed.  A TridiagonalPencil is solved as it
-    stands, O(N) per bisection step (see the module notes).  Any other
-    pencil is tridiagonalised once and its levels come from Sturm-sequence
-    bisection on T (dstebz), O(N k); it emits the same warning as
-    solve_pencil when the squared Cholesky pivot ratio of S, a lower bound
-    on its condition number, exceeds 1e12.
+    stands, O(N) per Sturm count or Rayleigh-quotient step (see the module
+    notes).  Any other pencil is tridiagonalised once and its levels come
+    from Sturm-sequence bisection on T (dstebz), O(N k); it emits the same
+    warning as solve_pencil when the squared Cholesky pivot ratio of S, a
+    lower bound on its condition number, exceeds 1e12.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BasisSpec, _add_h0, _bands, _overlap_factor
-from .eigen import TridiagonalPencil, lowest_eigenvalues, solve_pencil
+from .basis import BasisSpec, _add_h0, _add_tridiagonal, _bands, _overlap_factor
+from .eigen import TridiagonalPencil, count_below, lowest_eigenvalues, solve_pencil
 from .potentials import Potential
 
 __all__ = [
@@ -67,19 +67,29 @@ def _tail_fractions(F, nu):
 class _BasisPencil:
     """The pencil (H, S) of a potential in the basis, for one solve.
 
-    S is never formed: the solve takes its Cholesky factor in closed form.
-    H is reduced in its own buffer, so a second solve raises.
+    S is never formed: the solve takes its Cholesky factor in closed form,
+    and a count adds -sigma times its three bands into H.  H is reduced or
+    shifted in its own buffer, so a second solve or count raises.
     """
 
     def __init__(self, h, basis):
         self.h = h
         self.basis = basis
 
-    def _operands(self):
+    def _take_h(self):
         if self.h is None:
-            raise ValueError("this pencil was already solved: its H is reduced in place")
+            raise ValueError("this pencil was already solved or counted: its H is reduced or "
+                             "shifted in place")
         h, self.h = self.h, None
-        return _overlap_factor(self.basis.size, self.basis.nu), h, True
+        return h
+
+    def _operands(self):
+        return _overlap_factor(self.basis.size, self.basis.nu), self._take_h(), True
+
+    def _shifted(self, sigma):
+        diag, off = _bands(self.basis)
+        # S has the bands (diag, -off)
+        return _add_tridiagonal(self._take_h(), -sigma * diag, sigma * off)
 
 
 def _pencil(potential, basis):
@@ -152,12 +162,35 @@ class PlateauReport:
     tol_rel: float
 
 
-def _window_spread(block):
-    """Per-level relative variation of a (points, k) block of eigenvalues."""
-    lo = block.min(axis=0)
-    hi = block.max(axis=0)
+def _spread(lo, hi):
+    """Per-level relative variation between per-level extremes lo and hi."""
     scale = np.maximum(np.abs(lo), np.abs(hi))
     return (hi - lo) / np.where(scale > 0, scale, 1.0)
+
+
+def _plateau(traces, tol_rel):
+    """(a, b), the first and last row of the widest window of at least 5
+    rows of traces where every level is bound and varies by at most tol_rel
+    relative, ties going to the smaller a; or None.
+
+    For each start a, the running extremes over traces[a:] give the spread
+    of every window from a at once.
+    """
+    usable = np.all(traces < -ZERO_BAND, axis=1)
+    best, widest = None, 3  # a window spans at least 5 rows
+    for a in range(len(traces)):
+        # windows from a end before its first unusable row, and beat the
+        # best only if they end past a + widest
+        end = a + int(np.argmin(np.append(usable[a:], False)))
+        if end - 1 - a <= widest:
+            continue
+        block = traces[a:end]
+        spread = _spread(np.minimum.accumulate(block), np.maximum.accumulate(block))
+        ok = np.flatnonzero(np.max(spread, axis=1) <= tol_rel)
+        if len(ok) and ok[-1] > widest:
+            widest = int(ok[-1])
+            best = (a, a + widest)
+    return best
 
 
 def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
@@ -174,10 +207,12 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     solved on a thread pool, but scipy's LAPACK wrappers hold the GIL, so
     only the numpy part of the solves overlaps.  On a 16-point Kratzer scan
     (B = 1, ell = 1, N = 400, k = 3, the grid 1:8.5:0.5; x86_64, 2 vCPU,
-    medians of 15, three rounds) the tridiagonal pencil takes 17-18 ms
-    serially and 20-22 ms on two threads, on the default BLAS pool and on
+    medians of 15, three rounds) the tridiagonal pencil takes 13-18 ms
+    serially and 21-31 ms on two threads, on the default BLAS pool and on
     one BLAS thread alike, where the dense scan at nu = 2|ell| took 126-150
-    ms serially.  The CLI scans serially.
+    ms serially.  The CLI scans serially.  The plateau search takes the
+    running extremes of the traces from each start: 0.2 ms here, against
+    2.1 ms with one spread per window.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -198,28 +233,17 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     else:
         traces = np.array([solve_at(lam) for lam in grid])
 
-    usable = np.all(traces < -ZERO_BAND, axis=1)
-    best = None  # (width, start, end)
-    G = len(grid)
-    for a in range(G):
-        if not usable[a]:
-            continue
-        for b in range(a + 4, G):
-            if not usable[a:b + 1].all():
-                break
-            if np.max(_window_spread(traces[a:b + 1])) <= tol_rel:
-                width = b - a
-                if best is None or width > best[0]:
-                    best = (width, a, b)
-    if best is None:
+    window = _plateau(traces, tol_rel)
+    if window is None:
         return PlateauReport(grid=grid, traces=traces, plateau=None, spread=None,
                              tol_rel=tol_rel)
-    _, a, b = best
+    a, b = window
+    block = traces[a:b + 1]
     return PlateauReport(
         grid=grid,
         traces=traces,
         plateau=(float(grid[a]), float(grid[b])),
-        spread=_window_spread(traces[a:b + 1]),
+        spread=_spread(block.min(axis=0), block.max(axis=0)),
         tol_rel=tol_rel,
     )
 
@@ -252,8 +276,9 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     """Bisect the screening delta at which the given level detaches.
 
     The predicate is that level `level` lies below -ZERO_BAND, which is
-    the same as more than `level` levels being bound; only the level + 1
-    lowest eigenvalues of each solve are computed.  Requires the level
+    the same as more than `level` levels being bound: one count of the
+    levels below -ZERO_BAND a step (eigen.count_below, the inertia of
+    H + ZERO_BAND S), with no eigenvalue computed.  Requires the level
     bound at the lower bracket end and unbound at the upper end.  The
     bisection stops at width tol, or where the bracket has no float
     between its ends.
@@ -271,8 +296,7 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
         raise ValueError("bracket must satisfy lo < hi")
 
     def is_bound(delta):
-        w = lowest_eigenvalues(_pencil(p.with_screening(delta), basis), level + 1)
-        return len(w) > level and w[level] < -ZERO_BAND
+        return count_below(_pencil(p.with_screening(delta), basis), -ZERO_BAND) > level
 
     if not is_bound(lo):
         raise ValueError("level %d is not bound at the lower bracket end" % level)

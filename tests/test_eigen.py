@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import dsytrf
 
-from trilag.basis import BasisSpec, _overlap_factor, h0_matrix, overlap_matrix
+from trilag import eigen
+from trilag.basis import BasisSpec, _bands, _overlap_factor, h0_matrix, overlap_matrix
 from trilag.eigen import (
     NotPositiveDefiniteError,
     Pencil,
@@ -14,6 +16,7 @@ from trilag.eigen import (
     _band_cholesky,
     _generators,
     _reduce,
+    count_below,
     lowest_eigenvalues,
     solve_pencil,
 )
@@ -365,3 +368,167 @@ class TestTridiagonalPencil:
         w = lowest_eigenvalues(TridiagonalPencil(np.array([-1.0]), 0.5, np.array([2.0]),
                                                  np.zeros(0)), 3)
         assert w.tolist() == [-1.0]
+
+    @pytest.mark.parametrize("m, pivot", [
+        # S is indefinite; M is definite, so the levels would come from dstebz
+        # on M^{-1/2} S M^{-1/2}, where a k = 2 request missed the level -0.992
+        ([1.0, 1.0, 2.0], 1),
+        # M is indefinite too: the Sturm bracket doubled out to infinity
+        ([-1.0, 1.0, 2.0], 1),
+    ])
+    def test_indefinite_overlap_rejected(self, m, pivot):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            TridiagonalPencil(np.array(m), 0.0, np.array([1.0, -1.0, 1.0]), np.array([0.1, 0.1]))
+        assert err.value.pivot == pivot
+
+    def test_indefinite_single_function_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            TridiagonalPencil(np.array([1.0]), 0.0, np.array([0.0]), np.zeros(0))
+
+
+def _kratzer_tridiagonal(lam, N, ell=2, coulomb=1.0, b=5.0):
+    """The Kratzer pencil at its natural index, diag(2 c s - A lam) - c S."""
+    basis = BasisSpec(lam, ell, N, nu=2 * math.sqrt(ell * ell + b))
+    s, t = _bands(basis)
+    c = lam ** 2 / 8
+    return TridiagonalPencil(2 * c * s - coulomb * lam, c, s, -t), basis
+
+
+def _dense(p):
+    S = np.diag(p.s) + np.diag(p.t, 1) + np.diag(p.t, -1)
+    return np.diag(p.m) - p.shift * S, S
+
+
+def _twin_pencil(rel=1e-10, N=30, seed=3):
+    """Two decoupled copies of one indefinite tridiagonal pencil, the second
+    with m scaled by 1 + rel: each level has a twin rel apart (relative)."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-2.0, 10.0, N)
+    s = rng.uniform(2.0, 3.0, N)
+    t = rng.uniform(-1.0, 1.0, N - 1)
+    return TridiagonalPencil(np.r_[m, m * (1 + rel)], 0.3, np.r_[s, s], np.r_[t, 0.0, t])
+
+
+class TestTridiagonalLevels:
+    # Sturm counts isolate each level, Rayleigh-quotient iteration finishes
+    # it and two counts certify it within 4 eps relative
+    EPS = np.finfo(float).eps
+
+    def _contract(self, p, w, width):
+        # level j lies in (x - delta, x + delta], delta = width |x|, with
+        # x = w_j + shift the level of M f = x S f
+        for j, e in enumerate(w + p.shift):
+            delta = width * self.EPS * abs(e)
+            assert eigen._sturm_count(p, e - delta) <= j < eigen._sturm_count(p, e + delta)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.6, 1.0])
+    def test_both_sides_of_definite_m(self, lam):
+        # M > 0 from lam = 4A/(nu+1) = 0.5714 on (dstebz on M^{-1/2} S M^{-1/2})
+        p, basis = _kratzer_tridiagonal(lam, 200)
+        assert np.all(p.m > 0) == (lam > 4 / (basis.nu + 1))
+        H, S = _dense(p)
+        ref = sla.eigh(H, S, eigvals_only=True)
+        w = lowest_eigenvalues(p, 6)
+        # eigh's own error scales with the whole spectrum
+        np.testing.assert_allclose(w, ref[:6], rtol=0, atol=1e-13 * np.abs(ref).max())
+        if not np.all(p.m > 0):
+            self._contract(p, w, 4)
+
+    def test_close_twins_resolved(self):
+        p = _twin_pencil()
+        assert not np.all(p.m > 0)
+        H, S = _dense(p)
+        ref = sla.eigh(H, S, eigvals_only=True)
+        w = lowest_eigenvalues(p, 8)
+        np.testing.assert_allclose(w, ref[:8], rtol=0, atol=1e-13 * np.abs(ref).max())
+        self._contract(p, w, 4)
+        # each pair of twins rel apart in eps = E + shift, resolved to 1e-5
+        # of its gap
+        eps_levels = w + p.shift
+        gaps = eps_levels[1::2] - eps_levels[0::2]
+        np.testing.assert_allclose(gaps, 1e-10 * np.abs(eps_levels[0::2]), rtol=1e-5)
+
+    @pytest.mark.parametrize("escape", ["leaves_bracket", "stalls"])
+    def test_bisection_fallback(self, monkeypatch, escape):
+        # a quotient outside (a, b] takes bisection steps until the bracket
+        # is at its last bit; one that stalls inside fails its certificate
+        # and the bracket is bisected
+        p = _twin_pencil()
+        calls = []
+
+        def step(p, sigma, x):
+            calls.append(sigma)
+            return (np.inf if escape == "leaves_bracket" else sigma), x
+
+        monkeypatch.setattr(eigen, "_rqi_step", step)
+        w = lowest_eigenvalues(p, 8)
+        assert calls
+        self._contract(p, w, 2)
+        monkeypatch.undo()
+        np.testing.assert_allclose(w, lowest_eigenvalues(p, 8), rtol=6 * self.EPS, atol=0)
+
+    def test_singular_shift_is_a_level(self):
+        # m - sigma s is exactly singular at sigma = 1 (M = S here)
+        s = np.array([2.0, 3.0, 2.0])
+        t = np.array([1.0, 1.0])
+        sigma, y = eigen._rqi_step(TridiagonalPencil(s, 0.0, s, t), 1.0, np.ones(3) / 3 ** 0.5)
+        assert (sigma, y) == (1.0, None)
+
+
+def _zero_diagonal_pencil(N, seed):
+    """Random symmetric h with a zero diagonal and a dense SPD s with a small
+    diagonal, so that Bunch-Kaufman takes 2 x 2 pivots near sigma = 0."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((N, N))
+    h = G + G.T
+    np.fill_diagonal(h, 0.0)
+    M = rng.standard_normal((N, N)) / N
+    return Pencil(h, M @ M.T + 0.01 * np.eye(N))
+
+
+class TestCountBelow:
+    @pytest.mark.parametrize("N, seed", [(1, 0), (2, 1), (7, 2), (60, 3)])
+    def test_matches_levels(self, N, seed):
+        p = _zero_diagonal_pencil(N, seed)
+        w = solve_pencil(p)
+        # below, between and above the levels
+        mids = np.r_[w[0] - 1.0, 0.5 * (w[1:] + w[:-1]), w[-1] + 1.0]
+        for sigma in np.r_[mids, 0.0]:
+            assert count_below(p, sigma) == np.searchsorted(w, sigma)
+        if N > 1:
+            _, ipiv, _ = dsytrf(p.h, lower=1)
+            assert np.any(ipiv < 0)  # 2 x 2 pivots
+
+    def test_level_at_sigma_not_counted(self):
+        # blocks [[0, b], [b, 0]] with S = 2I, permuted: levels +-b/2 for
+        # b = 2, 4, 6, and H - sigma S is exactly singular at each of them
+        h = np.zeros((6, 6))
+        for i, b in enumerate([2.0, 4.0, 6.0]):
+            h[2 * i, 2 * i + 1] = h[2 * i + 1, 2 * i] = b
+        perm = np.random.default_rng(4).permutation(6)
+        p = Pencil(h[np.ix_(perm, perm)], 2 * np.eye(6))
+        for sigma, below in [(-3.0, 0), (-1.0, 2), (1.0, 3), (3.0, 5)]:
+            _, _, info = dsytrf(p.h - sigma * p.s, lower=1)
+            assert info > 0
+            assert count_below(p, sigma) == below
+
+    def test_tridiagonal_pencil(self):
+        p = _twin_pencil()
+        H, S = _dense(p)
+        w = sla.eigh(H, S, eigvals_only=True)
+        for sigma in np.r_[w[0] - 1.0, 0.5 * (w[1:] + w[:-1])[::7], w[-1] + 1.0]:
+            assert count_below(p, sigma) == np.searchsorted(w, sigma)
+
+    def test_basis_pencil_consumed(self):
+        # the solver's pencil shifts its own H, as a solve reduces it
+        params = YukawaParams(strength=1.0, mu_re=0.3, mu_im=0.3, variant="cosine")
+        b = BasisSpec(1.0, 0, 80)
+        w = solve_pencil(_pencil(params, b))
+        p = _pencil(params, b)
+        assert count_below(p, -1e-12) == np.searchsorted(w, -1e-12) == 2
+        with pytest.raises(ValueError, match="already solved or counted"):
+            count_below(p, 0.0)
+
+    def test_indefinite_overlap_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            count_below(Pencil(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])), 0.0)

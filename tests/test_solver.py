@@ -138,7 +138,85 @@ class TestLambdaScan:
         np.testing.assert_array_equal(serial.traces, parallel.traces)
 
 
+def _plateau_loop(traces, tol_rel):
+    """The plateau search as one spread per window, for reference."""
+    usable = np.all(traces < -ZERO_BAND, axis=1)
+    best = None
+    for a in range(len(traces)):
+        if not usable[a]:
+            continue
+        for b in range(a + 4, len(traces)):
+            if not usable[a:b + 1].all():
+                break
+            block = traces[a:b + 1]
+            if np.max(solver._spread(block.min(axis=0), block.max(axis=0))) <= tol_rel:
+                if best is None or b - a > best[0]:
+                    best = (b - a, a, b)
+    return None if best is None else best[1:]
+
+
+class TestPlateauSearch:
+    # crafted traces -> (plateau rows, spread) as the search gave them with
+    # one spread per window
+    CASES = {
+        "tie": (np.array([[-1.0, -2.0]] * 5 + [[-1.5, -2.0]] + [[-1.0, -2.0 - 1e-10]] * 5),
+                (0, 4), [0.0, 0.0]),
+        "unusable": (np.array([[-1.0]] * 4 + [[0.0]] + [[-1.0 - 1e-11 * i] for i in range(7)]
+                              + [[-1e-13]] + [[-1.0]] * 5),
+                     (5, 11), [6.000000496082225e-11]),
+        "none": (np.array([[-1.0 - 0.01 * i] for i in range(12)]), None, None),
+        "growing": (np.array([[-3.0 + 1e-10 * (i - 6) ** 2, -1.0] for i in range(16)]),
+                    (1, 11), [8.333334022836425e-10, 0.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_crafted_traces(self, monkeypatch, case):
+        traces, rows, spread = self.CASES[case]
+        grid = np.arange(1.0, len(traces) + 0.5)
+        rows_by_lam = dict(zip(grid, traces))
+        monkeypatch.setattr(solver, "_lowest", lambda potential, basis, k: rows_by_lam[basis.lam])
+        report = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 10), grid, k=traces.shape[1])
+        if rows is None:
+            assert report.plateau is None and report.spread is None
+        else:
+            assert report.plateau == (grid[rows[0]], grid[rows[1]])
+            assert report.spread.tolist() == spread
+
+    def test_matches_window_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            G, k = int(rng.integers(5, 20)), int(rng.integers(1, 4))
+            traces = -1.0 - 1e-9 * rng.integers(0, 4, (G, k)) * rng.random()
+            traces[rng.random(G) < 0.1] = rng.choice([0.0, np.nan, -1e-13])
+            for tol in (-1.0, 0.0, 1e-9):
+                assert solver._plateau(traces, tol) == _plateau_loop(traces, tol)
+
+
 class TestConvergeInN:
+    SWEEP = KratzerParams(coulomb=1.0, inverse_square=5.0)
+
+    def test_sturm_counts_bounded(self, monkeypatch):
+        # counts only isolate and certify each level: 44 at N = 800 (289
+        # when bisection finished every level)
+        counts = []
+        count = eigen._sturm_count
+        monkeypatch.setattr(eigen, "_sturm_count", lambda p, e: counts.append(e) or count(p, e))
+        converge_in_n(self.SWEEP, BasisSpec(0.3, 2, 800), (800,), 5)
+        assert 0 < len(counts) <= 60
+
+    @pytest.mark.parametrize("scale", [0.9, 1.0, 1.1])
+    def test_rayleigh_matches_bisection(self, monkeypatch, scale):
+        # below the M > 0 threshold; a quotient that always leaves its
+        # bracket leaves every level to bisection
+        basis = BasisSpec(0.3 * scale, 2, 100)
+        sizes = (100, 200, 400, 800)
+        fast = converge_in_n(self.SWEEP, basis, sizes, 5).traces
+        monkeypatch.setattr(eigen, "_rqi_step", lambda p, sigma, x: (np.inf, x))
+        bisected = converge_in_n(self.SWEEP, basis, sizes, 5).traces
+        np.testing.assert_allclose(fast, bisected, rtol=4 * np.finfo(float).eps, atol=0)
+        assert np.all(np.abs(fast[-1] - [kratzer_exact(1.0, 5.0, 2, n) for n in range(5)])
+                      <= 1e-9)
+
     def test_kratzer_approaches_exact(self):
         p = KratzerParams(coulomb=1.0, inverse_square=50.0)
         table = converge_in_n(p, BasisSpec(0.6, 1, 100), range(20, 101, 10), k=1)
