@@ -52,7 +52,16 @@ level.  Rayleigh-quotient iteration on the pencil (one dgtsv solve of
 M - sigma S and a tridiagonal S product a step, O(N); Parlett, The
 Symmetric Eigenvalue Problem, ch. 4) finishes it inside (a, b], and two
 counts certify it within 4 eps relative; a level that fails is bisected.
-Neither forms a dense matrix or calls dsytrd.
+Neither forms a dense matrix or calls dsytrd.  A driver that solves a
+sequence of nearby pencils (a scan in lam, a growing basis) hands each
+solve the levels of the one before (_tridiagonal_lowest with a guess):
+level j runs Rayleigh-quotient iteration from its guess and is accepted
+only if the quotient is finite and the same two counts certify it,
+count(eps - delta) <= j < count(eps + delta) with delta = 4 eps |eps|.
+Any failure (no convergence within _RQI_STEPS, a non-finite quotient, a
+failed certificate, fewer guesses than levels) solves the pencil cold, as
+above.  A level then costs one or two O(N) steps and two counts, against
+about seven counts to isolate it or a share of a full-precision dstebz.
 
 A fifth kind asks no eigenvalue at all: count_below, the number of levels
 below sigma, which is the number of negative eigenvalues of H - sigma S
@@ -458,11 +467,47 @@ def _sturm_levels(p, k):
     return levels
 
 
-def _tridiagonal_lowest(p, k):
-    """The k lowest levels of the tridiagonal pencil p, ascending (k <= N)."""
+def _warm_levels(p, k, guess):
+    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending,
+    by Rayleigh-quotient iteration from the levels guess (E, ascending) of a
+    nearby pencil, or None.
+
+    Level j starts from eps = guess[j] + p.shift and the unit vector of
+    equal entries, and is accepted only if its quotient is finite and two
+    counts certify it within 4 eps relative, count(eps - delta) <= j <
+    count(eps + delta) with delta = 4 eps |eps|; None on the first level
+    that fails, or with fewer than k guesses.
+    """
+    if len(guess) < k:
+        return None
+    N = len(p.m)
+    levels = np.empty(k)
+    for j in range(k):
+        # no bracket beyond the float range: an infinite or NaN quotient stops it
+        sigma, _ = _rayleigh(p, -_HUGE, _HUGE, guess[j] + p.shift, np.full(N, N ** -0.5))
+        if sigma is None or not np.isfinite(sigma):
+            return None
+        delta = 4 * _EPS * abs(sigma)
+        if not _sturm_count(p, sigma - delta) <= j < _sturm_count(p, sigma + delta):
+            return None
+        levels[j] = sigma
+    return levels
+
+
+def _tridiagonal_lowest(p, k, guess=None):
+    """The k lowest levels of the tridiagonal pencil p, ascending (k <= N).
+
+    With guess, the levels of a nearby pencil (ascending), each level is
+    first sought by Rayleigh-quotient iteration from its guess
+    (_warm_levels); if any fails, the pencil is solved as without one.
+    """
     N = len(p.m)
     if N == 1:
         return p.m / p.s - p.shift
+    if guess is not None:
+        levels = _warm_levels(p, k, guess)
+        if levels is not None:
+            return levels - p.shift
     if np.all(p.m > 0):
         # mu = 1/eps: the k largest eigenvalues of M^{-1/2} S M^{-1/2}
         r = 1 / np.sqrt(p.m)

@@ -5,15 +5,22 @@ eigenvectors) of the symmetric Jacobi matrix of the Laguerre recurrence
 (Golub & Welsch, Math. Comp. 23, 1969).  That start is good to ~1e-12
 relative, so one extended-precision Newton step polishes the nodes to the
 ~1e-15 floor at which the recurrence evaluates L_order; a second step only
-adds that noise.  Weights come from the derivative-free identity
+adds that noise.  The weights come from the same recurrence pass
+(specfun._laguerre_pair_scaled, overflow-scaled), as
 
-    w_i = Gamma(order+nu+1) x_i / (order! (order+1)^2 L_{order+1}^nu(x_i)^2)
+    w_i = Gamma(order+nu+1) / (order! x_i L'_order^nu(x_i)^2)
 
-evaluated in log space with an overflow-scaled recurrence
-(specfun._laguerre_pair_scaled), because the eigenvector-based weights lose
-all relative accuracy for the tiny weights in the far tail.  Only the
-log-weights are stored, in extended precision, so every weight is positive
-and nonzero up to order ~600.
+in log space: L' is carried across the Newton step by L'' from the
+Laguerre equation x L'' = (x-nu-1) L' - order L (an error second order in
+the step), and ln(Gamma(order+nu+1)/order!) is lgamma(nu+1) plus a
+longdouble sum of ln(1 + nu/k), so no second pass for L_{order+1} and no
+scipy.special.  The
+eigenvector-based weights would lose all relative accuracy for the tiny
+weights in the far tail.  Only the log-weights are stored, in extended
+precision.  Against a 40-digit reference at sampled nodes (nu = 0) they are
+good to 3.6e-15 at order 450, 1.6e-15 at 850, 8.5e-15 at 1200 and 2.3e-14
+at 1700, and every weight is positive and nonzero there (the weights of
+L_{order+1} read 1.5e-12 at 450 and 2.4e-12 at 850).
 
 A rule assembles a potential matrix as the float64 BLAS product
 V = (Q*f) @ Q.T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q holding the
@@ -22,13 +29,13 @@ product, _gauss_matrix, is the rule's one consumer: the oracle
 quad_potential_matrix and the cosine and sine Yukawa wells (potentials) call it.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dsyrk
-from scipy.special import gammaln
 
 from .specfun import _laguerre_pair_scaled
 
@@ -73,7 +80,7 @@ def _gauss_matrix(N, nu, x, log_w, f):
     off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
     Q = np.empty((N, x.size), order="F")
     prev = np.zeros_like(x)
-    cur = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - gammaln(nu + 1.0)))
+    cur = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - math.lgamma(nu + 1.0)))
     for n in range(N):
         Q[n] = cur
         # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
@@ -111,16 +118,24 @@ def gauss_laguerre_rule(order, nu):
     i = np.arange(order)
     x = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), eigvals_only=True)
     x = x.astype(np.longdouble)
-    lprev, lcur, _e = _laguerre_pair_scaled(order, nu, x)
-    # L'_order = (order L_order - (order+nu) L_{order-1}) / x
-    deriv = (order * lcur - (order + nu) * lprev) / x
-    x = x - lcur / deriv
-    _lprev, lnext, expo = _laguerre_pair_scaled(order + 1, nu, x)
+    lprev, lcur, expo = _laguerre_pair_scaled(order, nu, x)
+    # L' = (order L_order - (order+nu) L_{order-1}) / x, and L'' from the
+    # Laguerre equation x L'' = (x-nu-1) L' - order L
+    d1 = (order * lcur - (order + nu) * lprev) / x
+    d2 = ((x - nu - 1) * d1 - order * lcur) / x
+    step = lcur / d1
+    x = x - step
+    # L' at the polished node, with an error second order in the step
+    # (~1e-24 relative; an L''' term would move no log-weight)
+    deriv = d1 - step * d2
+    # ln(Gamma(order+nu+1)/order!) = lgamma(nu+1) + sum_k ln(1 + nu/k);
+    # _gauss_matrix subtracts the same lgamma(nu+1)
+    k = np.arange(1, order + 1, dtype=np.longdouble)
     log_w = (
-        gammaln(order + nu + 1.0)
-        - gammaln(order + 1.0)
-        + np.log(x)
-        - 2 * np.log((order + 1) * np.abs(lnext))
+        math.lgamma(nu + 1.0)
+        + np.sum(np.log1p(nu / k))
+        - np.log(x)
+        - 2 * np.log(np.abs(deriv))
         - 2 * expo * np.log(np.longdouble(2.0))
     )
     rule = QuadRule(

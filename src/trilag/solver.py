@@ -8,7 +8,8 @@ the critical screening where a level detaches into the continuum.
 A basis that leaves its index nu out is solved at the potential's natural
 index (Potential.natural_nu), and the result records the index used.  Where
 the potential's matrix is diagonal there (the Kratzer well), lambda_scan and
-converge_in_n hand the eigen layer the tridiagonal pencil H0 + V itself.
+converge_in_n hand the eigen layer the tridiagonal pencil H0 + V itself,
+and each of its solves starts from the levels of the solve before.
 """
 
 import math
@@ -20,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSpec, _add_h0, _add_tridiagonal, _bands, _overlap_factor
-from .eigen import TridiagonalPencil, count_below, lowest_eigenvalues, solve_pencil
+from .eigen import (TridiagonalPencil, _tridiagonal_lowest, count_below, lowest_eigenvalues,
+                    solve_pencil)
 from .potentials import Potential
 
 __all__ = [
@@ -103,19 +105,34 @@ def _resolve(potential, basis):
     return basis if basis.nu_given else basis.with_nu(potential.natural_nu(basis.ell))
 
 
-def _lowest(potential, basis, k):
+def _lowest(potential, basis, k, start=None):
     """The k lowest levels of the potential in the basis, for the drivers.
 
     A diagonal potential matrix v makes the pencil tridiagonal: H0's bands
     are c (2 s - S) with c = lam^2/8 and s the diagonal of S, so
     H0 + diag(v) = diag(2 c s + v) - c S, and no dense matrix is formed.
+    Such a pencil starts from the levels start of the previous solve, when
+    given (eigen._tridiagonal_lowest); a dense pencil ignores it.
     """
     v = potential.diagonal(basis)
     if v is None:
         return lowest_eigenvalues(_pencil(potential, basis), k)
     s, t = _bands(basis)
     c = basis.lam ** 2 / 8.0
-    return lowest_eigenvalues(TridiagonalPencil(2 * c * s + v, c, s, -t), k)
+    p = TridiagonalPencil(2 * c * s + v, c, s, -t)
+    if start is None:
+        return lowest_eigenvalues(p, k)
+    return _tridiagonal_lowest(p, min(k, basis.size), start)
+
+
+def _continued(potential, bases, k):
+    """The k lowest levels in each basis in turn, one row each: every solve
+    starts from the levels of the one before."""
+    rows, start = [], None
+    for basis in bases:
+        start = _lowest(potential, basis, k, start)
+        rows.append(start)
+    return np.array(rows)
 
 
 def bound_states(potential, basis):
@@ -203,16 +220,21 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
 
     Each grid point takes only the k lowest eigenvalues (no eigenvectors, no
     truncation guard); for the Kratzer well at its natural index that is the
-    tridiagonal pencil, with no dense matrix.  With threads > 1 the points are
-    solved on a thread pool, but scipy's LAPACK wrappers hold the GIL, so
-    only the numpy part of the solves overlaps.  On a 16-point Kratzer scan
-    (B = 1, ell = 1, N = 400, k = 3, the grid 1:8.5:0.5; x86_64, 2 vCPU,
-    medians of 15, three rounds) the tridiagonal pencil takes 13-18 ms
-    serially and 21-31 ms on two threads, on the default BLAS pool and on
-    one BLAS thread alike, where the dense scan at nu = 2|ell| took 126-150
-    ms serially.  The CLI scans serially.  The plateau search takes the
-    running extremes of the traces from each start: 0.2 ms here, against
-    2.1 ms with one spread per window.
+    tridiagonal pencil, with no dense matrix.  The scan continues along the
+    grid: each tridiagonal solve starts from the levels of the point before
+    and takes one or two Rayleigh-quotient steps and two certifying Sturm
+    counts a level, falling back to a cold solve wherever that fails
+    (eigen._tridiagonal_lowest).  A tridiagonal scan is therefore one
+    ordered run, whatever threads says.  With threads > 1 the points of a
+    dense pencil, which stay independent, are solved on a thread pool, but
+    scipy's LAPACK wrappers hold the GIL, so only the numpy part of the
+    solves overlaps.  On a 16-point Kratzer scan (B = 1, ell = 1, N = 400,
+    k = 3, the grid 1:8.5:0.5; x86_64, 2 vCPU, medians of 15, three rounds)
+    the continued scan takes 6-11 ms, against 11-14 ms serially and 15-17
+    ms on two threads when every point was solved cold, where the dense
+    scan at nu = 2|ell| took 126-150 ms serially.  The CLI scans serially.
+    The plateau search takes the running extremes of the traces from each
+    start: 0.2 ms here, against 2.1 ms with one spread per window.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -223,15 +245,12 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
         raise ValueError("k must be >= 1")
 
     basis = _resolve(potential, basis)
-
-    def solve_at(lam):
-        return _lowest(potential, basis.with_lam(lam), k)
-
-    if threads is not None and threads > 1:
+    if threads is not None and threads > 1 and potential.diagonal(basis) is None:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = np.array(list(pool.map(solve_at, grid)))
+            traces = np.array(list(pool.map(
+                lambda lam: _lowest(potential, basis.with_lam(lam), k), grid)))
     else:
-        traces = np.array([solve_at(lam) for lam in grid])
+        traces = _continued(potential, (basis.with_lam(lam) for lam in grid), k)
 
     window = _plateau(traces, tol_rel)
     if window is None:
@@ -259,12 +278,16 @@ class ConvergenceTable:
 
 
 def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
-    """Traces of the k lowest eigenvalues as the basis size grows through n_grid."""
+    """Traces of the k lowest eigenvalues as the basis size grows through n_grid.
+
+    Like lambda_scan, each tridiagonal solve starts from the levels of the
+    size before.
+    """
     n_grid = tuple(int(N) for N in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
     basis = _resolve(potential, basis)
-    traces = np.array([_lowest(potential, basis.with_size(N), k) for N in n_grid])
+    traces = _continued(potential, (basis.with_size(N) for N in n_grid), k)
     if len(n_grid) >= 2:
         converged = np.abs(traces[-1] - traces[-2]) <= tol
     else:

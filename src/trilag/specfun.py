@@ -3,8 +3,8 @@
 One private kernel: the upward three-term recurrence of the generalized
 Laguerre polynomials in extended precision, renormalized so that values far
 beyond the longdouble range stay representable.  quadrature.gauss_laguerre_rule
-evaluates L_order^nu and L_{order+1}^nu at its nodes with it, for the Newton
-step and for the weights.
+evaluates L_{order-1}^nu and L_order^nu at its nodes with it, once, for the
+Newton step and for the weights.
 """
 
 import numpy as np

@@ -241,6 +241,16 @@ class TestValidate:
                            "--lambda", "1", "--limit", str(N - 1), "--order", str(2 * N + 250))
         assert code == EXIT_OK, out
 
+    @pytest.mark.parametrize("potential", ["yukawa", "yukawa-cos"])
+    def test_full_block_at_rule_accuracy(self, capsys, potential):
+        # at nu = 0 the oracle's rule weights set the deviation of the whole
+        # 200 x 200 block: 5e-15 (1.3e-12 from the weights of L_{order+1})
+        code, out, _ = run(capsys, "validate", "--potential", potential, "--delta", "0.5",
+                           "--ell", "0", "--lambda", "1", "--limit", "199", "--order", "450")
+        assert code == EXIT_OK
+        row = [l for l in out.splitlines() if l and not l.startswith("#")][1]
+        assert float(row.split(",")[0]) <= 1e-13
+
     def test_zero_potential_zero_deviation(self, capsys):
         code, out, _ = run(capsys, "validate", "--potential", "morse", "--V0", "0",
                            "--r0", "1", "--width", "1", "--beta", "1",

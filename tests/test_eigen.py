@@ -475,6 +475,59 @@ class TestTridiagonalLevels:
         assert (sigma, y) == (1.0, None)
 
 
+class TestWarmStart:
+    # _tridiagonal_lowest(p, k, guess): Rayleigh-quotient iteration from each
+    # guessed level, certified by two counts; any failure solves cold
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture
+    def warm_results(self, monkeypatch):
+        results = []
+        warm = eigen._warm_levels
+        monkeypatch.setattr(eigen, "_warm_levels",
+                            lambda p, k, guess: results.append(warm(p, k, guess)) or results[-1])
+        return results
+
+    # M > 0 from lam = 0.5714 on: the cold path is dstebz above, Sturm
+    # isolation below
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_levels_as_guess_accepted(self, warm_results, lam):
+        p, _ = _kratzer_tridiagonal(lam, 200)
+        cold = lowest_eigenvalues(p, 5)
+        w = eigen._tridiagonal_lowest(p, 5, cold)
+        assert warm_results[0] is not None
+        np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    @pytest.mark.parametrize("guess", ["next_level", "between", "too_few"])
+    def test_bad_guess_gives_the_levels(self, warm_results, lam, guess):
+        p, _ = _kratzer_tridiagonal(lam, 200)
+        cold = lowest_eigenvalues(p, 6)
+        start = {"next_level": cold[1:],  # guess j nearer level j + 1
+                 "between": 0.5 * (cold[:-1] + cold[1:]),
+                 "too_few": cold[:4]}[guess]
+        w = eigen._tridiagonal_lowest(p, 5, start)
+        if guess != "between":  # from a midpoint either neighbour may be found
+            assert warm_results == [None]
+        np.testing.assert_allclose(w + p.shift, cold[:5] + p.shift, rtol=4 * self.EPS, atol=0)
+
+    def test_non_finite_quotient_falls_back(self, monkeypatch, warm_results):
+        p, _ = _kratzer_tridiagonal(0.3, 200)
+        cold = lowest_eigenvalues(p, 5)
+        monkeypatch.setattr(eigen, "_rqi_step", lambda p, sigma, x: (np.inf, x))
+        w = eigen._tridiagonal_lowest(p, 5, cold)
+        assert warm_results == [None]
+        np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
+
+    def test_twins_from_their_levels(self, warm_results):
+        # levels 1e-10 apart, each found from its own level and certified
+        p = _twin_pencil()
+        cold = lowest_eigenvalues(p, 8)
+        w = eigen._tridiagonal_lowest(p, 8, cold)
+        assert warm_results[0] is not None
+        np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
+
+
 def _zero_diagonal_pencil(N, seed):
     """Random symmetric h with a zero diagonal and a dense SPD s with a small
     diagonal, so that Bunch-Kaufman takes 2 x 2 pivots near sigma = 0."""

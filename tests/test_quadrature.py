@@ -61,6 +61,33 @@ class TestRuleConstruction:
         step = cur * x / (order * cur - (order + nu) * prev)
         assert float(np.max(np.abs(step / x))) <= 1e-14
 
+    @pytest.mark.parametrize("order,nu", [(450, 0.0), (850, 0.0), (300, 4.0)])
+    def test_log_weights_match_mpmath(self, order, nu):
+        # w = Gamma(order+nu+1) / (order! x L'(x)^2) at the exact node, found
+        # by Newton steps on the 40-digit recurrence from the stored node
+        mpmath = pytest.importorskip("mpmath")
+        rule = gauss_laguerre_rule(order, nu)
+
+        def pair(x):
+            prev, cur = mpmath.mpf(1), 1 + nu - x
+            for k in range(1, order):
+                prev, cur = cur, ((2 * k + nu + 1 - x) * cur - (k + nu) * prev) / (k + 1)
+            return cur, (order * cur - (order + nu) * prev) / x
+
+        with mpmath.workdps(40):
+            for i in sorted({0, 1, order // 3, order // 2, order - 2, order - 1}):
+                x = mpmath.mpf(float(rule.nodes[i]))
+                for _ in range(3):
+                    value, deriv = pair(x)
+                    x -= value / deriv
+                deriv = pair(x)[1]
+                ref = (mpmath.loggamma(order + nu + 1) - mpmath.loggamma(order + 1)
+                       - mpmath.log(x) - 2 * mpmath.log(abs(deriv)))
+                # the longdouble log-weight, to the 40 digits of the reference
+                got = mpmath.mpf(float(rule.log_weights[i])) + float(
+                    rule.log_weights[i] - np.longdouble(float(rule.log_weights[i])))
+                assert abs(got - ref) <= 1e-14
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             gauss_laguerre_rule(0, 0.0)

@@ -174,7 +174,8 @@ class TestPlateauSearch:
         traces, rows, spread = self.CASES[case]
         grid = np.arange(1.0, len(traces) + 0.5)
         rows_by_lam = dict(zip(grid, traces))
-        monkeypatch.setattr(solver, "_lowest", lambda potential, basis, k: rows_by_lam[basis.lam])
+        monkeypatch.setattr(solver, "_lowest",
+                            lambda potential, basis, k, start=None: rows_by_lam[basis.lam])
         report = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 10), grid, k=traces.shape[1])
         if rows is None:
             assert report.plateau is None and report.spread is None
@@ -238,6 +239,55 @@ class TestConvergeInN:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             converge_in_n(cos_yukawa(0.1), BasisSpec(1.0, 0, 50), [30, 30], k=1)
+
+
+class TestContinuation:
+    # lambda_scan and converge_in_n start each tridiagonal solve from the
+    # levels of the one before; the sweep benchmark's cases
+    SCAN = KratzerParams(coulomb=1.0, inverse_square=1.0)
+    CONV = KratzerParams(coulomb=1.0, inverse_square=5.0)
+    EPS = np.finfo(float).eps
+
+    def _assert_cold(self, potential, bases, traces):
+        # within 4 eps of the larger of |E| and |eps|, eps = E + lam^2/8 the
+        # level of M f = eps S f: the certificate bounds eps relative to eps,
+        # and the cold M > 0 path (E = 1/mu - lam^2/8) is itself up to 250
+        # eps off relative to E on the scan's shallow levels
+        cold = np.array([solver._lowest(potential, b, traces.shape[1]) for b in bases])
+        shift = np.array([[b.lam ** 2 / 8] for b in bases])
+        scale = np.maximum(np.abs(cold), np.abs(cold + shift))
+        assert np.max(np.abs(traces - cold) / scale) <= 4 * self.EPS
+
+    @pytest.mark.parametrize("scale", [0.9, 1.0, 1.1])
+    def test_scan_matches_cold(self, scale):
+        # at scale 0.9 the grid starts below M > 0 (lam = 1.04)
+        grid = np.arange(1.0, 8.5 + 0.25, 0.5) * scale
+        report = lambda_scan(self.SCAN, BasisSpec(1.0, 1, 400), grid, 3)
+        basis = solver._resolve(self.SCAN, BasisSpec(1.0, 1, 400))
+        self._assert_cold(self.SCAN, [basis.with_lam(lam) for lam in grid], report.traces)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.0, 1.1])
+    def test_converge_matches_cold(self, scale):
+        sizes = (100, 200, 400, 800)
+        table = converge_in_n(self.CONV, BasisSpec(0.3 * scale, 2, 100), sizes, 5)
+        basis = solver._resolve(self.CONV, BasisSpec(0.3 * scale, 2, 100))
+        self._assert_cold(self.CONV, [basis.with_size(N) for N in sizes], table.traces)
+
+    def test_converge_counts_bounded(self, monkeypatch):
+        # the first size isolates its levels, the others take two counts a
+        # level: 65 (158 when every size was solved cold)
+        counts = []
+        count = eigen._sturm_count
+        monkeypatch.setattr(eigen, "_sturm_count", lambda p, e: counts.append(e) or count(p, e))
+        converge_in_n(self.CONV, BasisSpec(0.3, 2, 100), (100, 200, 400, 800), 5)
+        assert 0 < len(counts) <= 80
+
+    def test_scan_threads_bit_identical(self):
+        # a tridiagonal scan is one ordered run whatever threads says
+        grid = np.arange(1.0, 8.5 + 0.25, 0.5)
+        serial = lambda_scan(self.SCAN, BasisSpec(1.0, 1, 400), grid, 3)
+        threaded = lambda_scan(self.SCAN, BasisSpec(1.0, 1, 400), grid, 3, threads=2)
+        assert threaded.traces.tobytes() == serial.traces.tobytes()
 
 
 class TestCriticalScreening:
