@@ -40,7 +40,9 @@ relative to sqrt(K_nn K_mm), not elementwise.  Morse accumulates its two
 kernels into one lower triangle.
 
 Extended precision is used only in the O(N^2) build of C^ and B, by exact
-ratio recurrences in longdouble; every O(N^3) step is a float64 dsyrk.
+ratio recurrences in longdouble, and in the Gauss table the cosine and
+sine wells build once per rule and size; every O(N^3) step is a float64
+BLAS product (dsyrk, dtrmm).
 
 The Kratzer inverse-square matrix is rank one below the diagonal,
 (lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
@@ -55,11 +57,15 @@ H0 + V is tridiagonal (diagonal()).
 The cosine and sine wells -(A/r) cos(mu_im r) e^{-mu_re r} and
 +(A/r) sin(mu_im r) e^{-mu_re r} have no such cancellation-free form: the
 same sum at complex sigma loses every digit at large N.  They are assembled
-by Gauss quadrature instead, V = (Q*f) @ Q.T, the quadrature (Jacobi-matrix)
-form of the potential used in the J-matrix method (Heller & Yamani, Phys.
-Rev. A 9, 1201 (1974)).  Q holds the orthonormal Laguerre functions at the
-nodes of a Gauss rule for the weight x^nu e^{-s x}, s = 1 + mu_re/lam, and
-f the oscillating factor, in the oracle's table and product (_gauss_matrix).
+by Gauss quadrature instead, the quadrature (Jacobi-matrix) form of the
+potential used in the J-matrix method (Heller & Yamani, Phys. Rev. A 9,
+1201 (1974)), with the two factors of the well split between two exact
+forms.  The real-sigma C^ at sigma = s = 1 + mu_re/lam carries the
+exponent: p_n(y/s) = s^{(nu+1)/2} sum_j C^[n,j] p_j(y), so the Gauss sum
+over the weight x^nu e^{-s x} is V = C^ G C^T.  The Gauss rule for
+x^nu e^{-x} carries only the oscillation: G = Q1 diag(f) Q1^T, with Q1 the
+rule's orthonormal Laguerre table (quadrature._rule_table, built once per
+rule and size) and f the oscillating factor at the nodes divided by s.
 The screening e^{-(s-1) x} leaves about
 (mu_im/mu_re) 40/pi zeros of the oscillation where the integrand matters,
 so one constant margin of nodes covers every mu_im <= mu_re; YukawaParams
@@ -71,10 +77,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsyrk, dtrmm
 
 from .basis import _overlap_factor
-from .quadrature import _gauss_matrix, _symmetrize, gauss_laguerre_rule
+from .quadrature import _rule_table, _signed_gram, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
     "Potential",
@@ -286,21 +292,36 @@ def _yukawa_real_matrix(p, basis):
 
 
 def _yukawa_gauss_matrix(p, basis):
-    """Cosine or sine well at mu_im > 0 as the Gauss product (Q*f) @ Q.T.
+    """Cosine or sine well at mu_im > 0 as V = C^ G C^T.
 
     V_nm = int x^nu e^{-s x} p_n p_m f dx with p_n the orthonormal Laguerre
-    functions (sign of L_n^nu), s = 1 + mu_re/lam and f = x V(x/lam),
-    taken on the rule for x^nu e^{-x} scaled to the weight x^nu e^{-s x}.
-    |f| <= A lam and the Gram matrix of e^{-(s-1) x} has a diagonal <= 1, so
-    no term of the float64 product exceeds A lam.
+    functions (sign of L_n^nu), s = 1 + mu_re/lam and f = x V(x/lam).  On
+    the rule for x^nu e^{-x} (nodes y_i, weights w_i), x = y/s and
+    p_n(y/s) = s^{(nu+1)/2} sum_j C^[n,j] p_j(y) with C^ the real-sigma
+    normalized connection matrix at sigma = s, so the Gauss sum is
+    C^ G C^T with G = Q1 diag(f(y/s)) Q1^T and Q1_ni = sqrt(w_i) p_n(y_i)
+    the rule's cached table (quadrature._rule_table).  G is the signed
+    dsyrk pair on Q1 scaled by sqrt|f|, and C^ enters by two dtrmm.
+    |f| <= A lam and the rows of C^ have norm <= 1, so no term of the
+    float64 products exceeds A lam.
     """
     N, nu, lam = basis.size, basis.nu, basis.lam
-    s = np.longdouble(1.0 + p.mu_re / lam)
+    s = 1.0 + p.mu_re / lam
     rule = gauss_laguerre_rule(N + _GAUSS_MARGIN, nu)
-    x = rule.nodes / s
-    phase = (p.mu_im / lam) * x
-    f = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
-    return _gauss_matrix(N, nu, x, rule.log_weights - (nu + 1) * np.log(s), p.strength * lam * f)
+    phase = (p.mu_im / lam) * (rule.nodes / np.longdouble(s))
+    f = p.strength * lam * (np.sin(phase) if p.variant == "sine" else -np.cos(phase))
+    by_sign = np.argsort(f < 0, kind="stable")
+    n_pos = int(np.count_nonzero(f >= 0))
+    # the table's columns in sign order, each scaled by sqrt|f|: a C-ordered
+    # (nodes, N) array, whose transpose is the Fortran-ordered table dsyrk reads
+    T = _rule_table(rule, N).T[by_sign]
+    T *= np.sqrt(np.abs(f[by_sign])).astype(float)[:, None]
+    G = _signed_gram(T.T, n_pos)
+    # C^T as stored (upper triangular); C^ G, then (C^ G) C^T, in place
+    CT = _normalized_connection(N, nu, s).astype(float).T
+    V = dtrmm(1.0, CT, G, trans_a=1, overwrite_b=1)
+    V = dtrmm(1.0, CT, V, side=1, overwrite_b=1)
+    return _symmetrize(V)
 
 
 def yukawa_matrix(p, basis):

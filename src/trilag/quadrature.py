@@ -23,13 +23,18 @@ at 1700, and every weight is positive and nonzero there (the weights of
 L_{order+1} read 1.5e-12 at 450 and 2.4e-12 at 850).
 
 A rule assembles a potential matrix as the float64 BLAS product
-V = (Q*f) @ Q.T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q holding the
-orthonormal Laguerre functions at the nodes, built in extended precision.  That
-product, _gauss_matrix, is the rule's one consumer: the oracle
-quad_potential_matrix and the cosine and sine Yukawa wells (potentials) call it.
+V = Q+ Q+^T - Q- Q-^T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q
+holding sqrt|f| times the orthonormal Laguerre functions at the nodes, built
+by the recurrence in extended precision (_laguerre_table) and split by the
+sign of the integrand factor f (_signed_gram).  The oracle
+quad_potential_matrix folds sqrt|f| into the recurrence's start
+(_gauss_matrix).  The cosine and sine Yukawa wells (potentials) read the
+rule's own table sqrt(w_i) p_n(x_i) instead, which depends on nothing but
+(order, nu, size) and is kept in the rule cache (_rule_table).
 """
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -62,35 +67,53 @@ def _symmetrize(M):
     return M
 
 
-def _gauss_matrix(N, nu, x, log_w, f):
-    """V_nm = sum_i w_i f_i p_n(x_i) p_m(x_i) for n, m < N, in float64.
+def _laguerre_table(N, nu, x, start):
+    """Rows n < N of the orthonormal Laguerre recurrence at the longdouble
+    nodes x, started from the row start: Q_ni = start_i p_n(x_i) / p_0, as
+    a float64 Fortran-ordered (N, len(x)) array.
 
     p_n = sqrt(n!/Gamma(n+nu+1)) L_n^nu are the Laguerre polynomials
-    orthonormal under x^nu e^{-x}; x, log_w (longdouble) and f are the nodes,
-    log-weights and integrand factor of a rule for that weight.  The table
-    Q_ni = sqrt(w_i |f_i|) p_n(x_i) comes from the orthonormal three-term
-    recurrence in longdouble and is cast to float64 with the nodes where
-    f >= 0 first, so V = Q+ Q+^T - Q- Q-^T is two dsyrk calls on column
-    blocks of Q, and no weighted copy of the table is made.
+    orthonormal under x^nu e^{-x}; the recurrence runs in longdouble and
+    each row is cast as it is stored.
     """
-    by_sign = np.argsort(f < 0, kind="stable")
-    n_pos = int(np.count_nonzero(f >= 0))
-    x = x[by_sign]
     k = np.arange(N + 1, dtype=np.longdouble)
     off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
     Q = np.empty((N, x.size), order="F")
     prev = np.zeros_like(x)
-    cur = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - math.lgamma(nu + 1.0)))
+    cur = start
     for n in range(N):
         Q[n] = cur
         # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
         prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
+    return Q
+
+
+def _signed_gram(Q, n_pos):
+    """Q+ Q+^T - Q- Q-^T, with Q+ the first n_pos columns of the float64
+    Fortran-ordered Q and Q- the rest: two dsyrk calls on column blocks, no
+    copy of the table.  Returns the full symmetric matrix."""
+    N = Q.shape[0]
     V = np.zeros((N, N), order="F")
     for alpha, block in ((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:])):
         if block.shape[1]:
             # scipy's BLAS, as in potentials._yukawa_real_matrix
             V = dsyrk(alpha, block, beta=1.0, c=V, lower=1, overwrite_c=1)
     return _symmetrize(V)
+
+
+def _gauss_matrix(N, nu, x, log_w, f):
+    """V_nm = sum_i w_i f_i p_n(x_i) p_m(x_i) for n, m < N, in float64.
+
+    x, log_w (longdouble) and f are the nodes, log-weights and integrand
+    factor of a rule for the weight x^nu e^{-x}.  The table
+    Q_ni = sqrt(w_i |f_i|) p_n(x_i) (_laguerre_table) has the nodes where
+    f >= 0 first, so V = Q+ Q+^T - Q- Q-^T (_signed_gram), and no weighted
+    copy of the table is made.
+    """
+    by_sign = np.argsort(f < 0, kind="stable")
+    n_pos = int(np.count_nonzero(f >= 0))
+    start = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - math.lgamma(nu + 1.0)))
+    return _signed_gram(_laguerre_table(N, nu, x[by_sign], start), n_pos)
 
 
 _rule_cache = {}
@@ -105,10 +128,10 @@ def gauss_laguerre_rule(order, nu):
     nodes.  Results are cached per (order, nu) with nu keyed by its exact
     bits; the cache is safe under concurrent lookup.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    if nu < 0:
-        raise ValueError("weight exponent nu must be >= 0")
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise ValueError("quadrature order must be an integer >= 1, got %r" % (order,))
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError("weight exponent nu must be finite and >= 0, got %r" % (nu,))
     key = (int(order), float(nu).hex())
     with _rule_lock:
         hit = _rule_cache.get(key)
@@ -129,7 +152,7 @@ def gauss_laguerre_rule(order, nu):
     # (~1e-24 relative; an L''' term would move no log-weight)
     deriv = d1 - step * d2
     # ln(Gamma(order+nu+1)/order!) = lgamma(nu+1) + sum_k ln(1 + nu/k);
-    # _gauss_matrix subtracts the same lgamma(nu+1)
+    # _gauss_matrix and _rule_table subtract the same lgamma(nu+1)
     k = np.arange(1, order + 1, dtype=np.longdouble)
     log_w = (
         math.lgamma(nu + 1.0)
@@ -147,6 +170,27 @@ def gauss_laguerre_rule(order, nu):
     with _rule_lock:
         _rule_cache[key] = rule
     return rule
+
+
+def _rule_table(rule, N):
+    """Q1_ni = sqrt(w_i) p_n(x_i) for n < N on the rule's own nodes, float64,
+    Fortran-ordered and read-only.
+
+    The table depends on nothing but (order, nu, N), so it is built once
+    and kept in the rule cache under (order, nu bits, N): clearing the
+    cache drops it with the rules.
+    """
+    key = (rule.order, rule.nu.hex(), int(N))
+    with _rule_lock:
+        hit = _rule_cache.get(key)
+    if hit is not None:
+        return hit
+    start = np.exp(0.5 * (rule.log_weights - math.lgamma(rule.nu + 1.0)))
+    Q = _laguerre_table(N, rule.nu, np.asarray(rule.nodes, np.longdouble), start)
+    Q.flags.writeable = False
+    with _rule_lock:
+        _rule_cache[key] = Q
+    return Q
 
 
 def quad_potential_matrix(v, basis, order=None, weight_nu=None):

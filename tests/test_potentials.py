@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from trilag.potentials import (
     radial_function,
     yukawa_matrix,
 )
-from trilag.quadrature import quad_potential_matrix
+from trilag.quadrature import _gauss_matrix, gauss_laguerre_rule, quad_potential_matrix
+from trilag.solver import critical_screening
 
 
 def oracle_deviation(analytic, params, basis, order=300):
@@ -229,6 +231,100 @@ class TestYukawaMatrix:
         p = YukawaParams(strength=1.0, mu_re=0.5, mu_im=0.5, variant="sine")
         b = BasisSpec(lam=2.0, ell=0, size=30)
         assert oracle_deviation(yukawa_matrix(p, b), p, b) < 1e-11
+
+
+def recurrence_form(p, basis):
+    """The cosine or sine well as one Gauss product on the rule scaled to the
+    weight x^nu e^{-s x}: nodes y_i/s, log-weights less (nu+1) ln s, and the
+    Laguerre table rebuilt by the longdouble recurrence at those nodes."""
+    N, nu, lam = basis.size, basis.nu, basis.lam
+    s = np.longdouble(1.0 + p.mu_re / lam)
+    rule = gauss_laguerre_rule(N + trilag.potentials._GAUSS_MARGIN, nu)
+    x = rule.nodes / s
+    phase = (p.mu_im / lam) * x
+    f = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
+    return _gauss_matrix(N, nu, x, rule.log_weights - (nu + 1) * np.log(s), p.strength * lam * f)
+
+
+def longdouble_gauss(p, basis):
+    """The same Gauss sum as C^ G C^T with every product in longdouble."""
+    N, nu, lam = basis.size, basis.nu, basis.lam
+    s = 1.0 + p.mu_re / lam
+    rule = gauss_laguerre_rule(N + trilag.potentials._GAUSS_MARGIN, nu)
+    y = np.asarray(rule.nodes, np.longdouble)
+    phase = (p.mu_im / lam) * (y / np.longdouble(s))
+    f = p.strength * lam * (np.sin(phase) if p.variant == "sine" else -np.cos(phase))
+    Q = np.empty((N, y.size), np.longdouble)
+    Q[0] = np.exp(0.5 * (rule.log_weights - math.lgamma(nu + 1.0)))
+    k = np.arange(N + 1, dtype=np.longdouble)
+    off = np.sqrt(k * (k + nu))
+    prev = np.zeros_like(y)
+    for n in range(N - 1):
+        prev, Q[n + 1] = Q[n], ((2 * n + nu + 1 - y) * Q[n] - off[n] * prev) / off[n + 1]
+    C = trilag.potentials._normalized_connection(N, nu, s)
+    return C @ ((Q * f) @ Q.T) @ C.T
+
+
+class TestGaussAssembly:
+    # V = C^ G C^T on the rule's cached table, against the Gauss product the
+    # recurrence forms at the scaled nodes
+
+    @pytest.mark.parametrize("variant", ["cosine", "sine"])
+    @pytest.mark.parametrize("delta", [0.01, 0.32, 9.0])
+    @pytest.mark.parametrize("N", [30, 100, 400])
+    def test_matches_recurrence_form(self, N, delta, variant):
+        p = YukawaParams(1.0, delta, delta, variant)
+        b = BasisSpec(1.0, 0, N)
+        V, ref = yukawa_matrix(p, b), recurrence_form(p, b)
+        assert np.max(np.abs(V - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("variant", ["cosine", "sine"])
+    @pytest.mark.parametrize("delta", [0.01, 9.0])
+    @pytest.mark.parametrize("ell,lam", [(1, 1.3), (3, 2.0)])
+    def test_as_accurate_as_recurrence_form(self, ell, lam, delta, variant):
+        # both float64 forms against the same sum in longdouble: they differ
+        # from each other by up to ~2e-15 max|V| away from ell = 0, lam = 1,
+        # and each is that close to the longdouble sum
+        p = YukawaParams(1.0, delta, delta, variant)
+        b = BasisSpec(lam, ell, 100)
+        exact = longdouble_gauss(p, b)
+        scale = float(np.max(np.abs(exact)))
+        for V in (yukawa_matrix(p, b), recurrence_form(p, b)):
+            assert float(np.max(np.abs(V - exact))) <= 2e-15 * scale
+
+    def test_screening_builds_table_once(self, monkeypatch):
+        # every step of a bisection at N=100 reads one cached table
+        calls = []
+        table = trilag.quadrature._laguerre_table
+
+        def counted(*args):
+            calls.append(args[0])
+            return table(*args)
+
+        monkeypatch.setattr(trilag.quadrature, "_rule_cache", {})
+        monkeypatch.setattr(trilag.quadrature, "_laguerre_table", counted)
+        dc = critical_screening(YukawaParams(1.0, variant="cosine"), 0, 1, (0.2, 0.5))
+        assert dc == 0.32095947265625
+        assert calls == [100]
+
+    def test_concurrent_first_calls(self, monkeypatch):
+        monkeypatch.setattr(trilag.quadrature, "_rule_cache", {})
+        p = YukawaParams(1.0, 0.5, 0.5, "cosine")
+        b = BasisSpec(1.0, 0, 120)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def assemble(i):
+            barrier.wait()
+            results[i] = yukawa_matrix(p, b)
+
+        threads = [threading.Thread(target=assemble, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], yukawa_matrix(p, b))
 
 
 class TestClassicalYukawa:

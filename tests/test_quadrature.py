@@ -7,7 +7,8 @@ from scipy.special import gammaln
 
 from trilag.basis import BasisSpec
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
-from trilag.quadrature import gauss_laguerre_rule, quad_potential_matrix
+from trilag import quadrature
+from trilag.quadrature import _rule_table, gauss_laguerre_rule, quad_potential_matrix
 
 
 class TestRuleConstruction:
@@ -94,6 +95,20 @@ class TestRuleConstruction:
         with pytest.raises(ValueError):
             gauss_laguerre_rule(5, -1.0)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        # not scipy's "array must not contain infs or NaNs"
+        with pytest.raises(ValueError, match="nu must be finite and >= 0"):
+            gauss_laguerre_rule(10, nu)
+
+    @pytest.mark.parametrize("order", [10.5, 10.0, "10"])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            gauss_laguerre_rule(order, 0.0)
+
+    def test_numpy_integer_order(self):
+        assert gauss_laguerre_rule(np.int64(37), 2.0) is gauss_laguerre_rule(37, 2.0)
+
     def test_cache_returns_same_rule(self):
         a = gauss_laguerre_rule(37, 2.0)
         b = gauss_laguerre_rule(37, 2.0)
@@ -111,6 +126,34 @@ class TestRuleConstruction:
         for t in threads:
             t.join()
         assert all(np.array_equal(r.nodes, results[0].nodes) for r in results)
+
+
+class TestRuleTable:
+    # the rule's own table sqrt(w_i) p_n(x_i), kept in the rule cache
+
+    def test_orthonormal_rows(self):
+        # the rule integrates p_n p_m (degree < 2 order) exactly
+        Q = _rule_table(gauss_laguerre_rule(164, 2.0), 100)
+        assert Q.shape == (100, 164) and Q.flags.f_contiguous and not Q.flags.writeable
+        np.testing.assert_allclose(Q @ Q.T, np.eye(100), rtol=0, atol=1e-13)
+
+    def test_cached_per_size(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        rule = gauss_laguerre_rule(80, 0.0)
+        a = _rule_table(rule, 16)
+        assert _rule_table(rule, 16) is a
+        b = _rule_table(rule, 12)
+        assert b is not a
+        np.testing.assert_array_equal(b, a[:12])
+
+    def test_clearing_rule_cache_drops_table(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        a = _rule_table(gauss_laguerre_rule(80, 0.0), 16)
+        with quadrature._rule_lock:
+            quadrature._rule_cache.clear()
+        b = _rule_table(gauss_laguerre_rule(80, 0.0), 16)
+        assert b is not a
+        np.testing.assert_array_equal(a, b)
 
 
 class TestMatrixElement:

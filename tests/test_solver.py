@@ -128,6 +128,12 @@ class TestLambdaScan:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 50), [1.0, 2.0], k=1)
+
+    @pytest.mark.parametrize("k", [2.5, 0, -1, "2"])
+    def test_k_must_be_integer_at_least_one(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            lambda_scan(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50),
+                        np.arange(1.0, 3.01, 0.5), k)
         with pytest.raises(ValueError):
             lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 50), [1, 2, 2, 3, 4], k=1)
 
@@ -239,6 +245,17 @@ class TestConvergeInN:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             converge_in_n(cos_yukawa(0.1), BasisSpec(1.0, 0, 50), [30, 30], k=1)
+
+    def test_empty_grid_rejected(self):
+        # not traces of shape (0,) beside a converged array of length k
+        with pytest.raises(ValueError, match="n_grid must hold at least one basis size"):
+            converge_in_n(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50), (), 2)
+
+    @pytest.mark.parametrize("k", [2.5, 0, -1, "2"])
+    def test_k_must_be_integer_at_least_one(self, k):
+        # not numpy's "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            converge_in_n(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50), (40, 50), k)
 
 
 class TestContinuation:
