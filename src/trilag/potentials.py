@@ -27,22 +27,34 @@ float64 each element has a relative error of at most about N eps (Higham,
 Accuracy and Stability of Numerical Algorithms, sec. 4.2), for large n, m
 and large screening alike, where the textbook hypergeometric form loses
 all precision.  An entry of C^ that underflows in float64 changes no
-element by more than ~1e-308.
+element by more than ~1e-308.  That contract is elementwise (1e-14 for
+every element above 1e-200), so the classical well keeps every entry, and
+its dsyrk still forms products that underflow.
 
 The exponential kernel weighs its moments with one more power of x.  With
 L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is exp_matrix = B B^T, B = L_S C^',
 where C^' is the normalized connection matrix at nu+1 and L_S the
 closed-form bidiagonal factor of the overlap S = L_S L_S^T (at sigma = 1,
-C^' = I and the kernel is S); no gamma-function norms enter.  L_S is
-read from basis._overlap_factor, in longdouble.  B has
+C^' = I and the kernel is S); no gamma-function norms enter.  B has
 entries of both signs, so the kernel K = B B^T is accurate to about N eps
-relative to sqrt(K_nn K_mm), not elementwise.  Morse accumulates its two
-kernels into one lower triangle.
+relative to sqrt(K_nn K_mm), not elementwise (normwise; Higham, sec. 4.2).
+That contract leaves room for a floor: the entries of C^' below
+2^-511 are zeroed in longdouble before the cast, L_S (basis._overlap_factor)
+is applied in float64, and the entries of B below 2^-511 are zeroed again,
+for a row's two terms can cancel.  Every product of two kept entries is then
+at least 2^-1022, a normal float64, and dsyrk forms no product that
+underflows (those cost about three times a normal one).  Zeroing an entry
+of C^' moves B by at most 2 sqrt(N+nu+1) 2^-511 (a row of L_S), and one of
+B by 2^-511; rows of B have norm sqrt(K_nn), so K_nm moves by at most
+(2 sqrt(N+nu+1) + 1) 2^-511 sqrt(N) (sqrt(K_nn) + sqrt(K_mm)).  At N = 400
+on Table 3's kernels (smallest K_nn 0.037; 0.45 for the ell = 1 well) that
+is about 1e-150 of sqrt(K_nn K_mm).  Morse accumulates its two kernels into
+one lower triangle.
 
-Extended precision is used only in the O(N^2) build of C^ and B, by exact
-ratio recurrences in longdouble, and in the Gauss table the cosine and
-sine wells build once per rule and size; every O(N^3) step is a float64
-BLAS product (dsyrk, dtrmm).
+Extended precision is used only in the O(N^2) build of C^, by exact ratio
+recurrences in longdouble, and in the Gauss table the cosine and sine wells
+build once per rule and size; every O(N^3) step is a float64 BLAS product
+(dsyrk, dtrmm).
 
 The Kratzer inverse-square matrix is rank one below the diagonal,
 (lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
@@ -258,7 +270,8 @@ class MorseParams(Potential):
 def _normalized_connection(N, nu, sigma):
     """C^[n, j] = sigma^{-(nu+1)/2} C[n, j] sqrt(h_j/h_n) for j <= n, in longdouble.
 
-    The diagonal is sigma^{-j-(nu+1)/2}, and down each column
+    The diagonal is sigma^{-j-(nu+1)/2}, a cumulative product of 1/sigma
+    from sigma^{-(nu+1)/2} (one power, not one a row), and down each column
     C^[n, j] = C^[n-1, j] ((sigma-1)/sigma) sqrt(n (n+nu)) / (n-j), so one
     cumulative product along axis 0 builds it.
     """
@@ -268,7 +281,9 @@ def _normalized_connection(N, nu, sigma):
     R = toeplitz(np.r_[1, 1 / k[1:]], np.ones(N, np.longdouble))
     np.multiply(R, ((s - 1) / s * np.sqrt(k * (k + nu)))[:, None], out=R,
                 where=np.tri(N, k=-1, dtype=bool))
-    R[np.diag_indices(N)] = s ** -(k + (nu + 1) / 2)
+    diag = np.full(N, 1 / s)
+    diag[0] = s ** (-(nu + 1) / 2)
+    R[np.diag_indices(N)] = np.cumprod(diag)
     np.cumprod(R, axis=0, out=R)
     np.copyto(R, 0, where=~np.tri(N, dtype=bool))  # the ones above the diagonal
     return R
@@ -340,27 +355,36 @@ def yukawa_matrix(p, basis):
 # ---------------------------------------------------------------------------
 # exponential kernel and Morse
 
+# The kernels' floor: a product of two entries of at least 2^-511 is a
+# normal float64; the module docstring bounds what the dropped entries move
+_FLOOR = 2.0 ** -511
+
 
 def _exp_factor(c, basis):
     """B with exp_matrix(c) = B B^T, as a float64 Fortran-ordered B^T.
 
-    B = L_S C^', C^' the normalized connection matrix at nu+1 and L_S the overlap's
-    closed-form bidiagonal factor (basis._overlap_factor); formed in
-    longdouble, in place, before the cast.
+    B = L_S C^', C^' the normalized connection matrix at nu+1 and L_S the
+    overlap's closed-form bidiagonal factor (basis._overlap_factor).  C^' is
+    floored at _FLOOR while still in longdouble (the cast of an entry below
+    the float64 range is slow) and L_S applied in float64; B is floored
+    again, since the two terms of a row can cancel.  Every product of two
+    entries a dsyrk on B forms is then a normal float64.
     """
     N, nu = basis.size, basis.nu
     C = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
-    L = _overlap_factor(N, nu, np.longdouble)
-    lower = L[1, :-1, None] * C[:-1]
-    C *= L[0, :, None]
-    C[1:] += lower
-    return C.astype(float).T
+    np.copyto(C, 0, where=C < _FLOOR)  # C^' >= 0
+    C = C.astype(float)
+    L = _overlap_factor(N, nu)
+    B = C * L[0, :, None]
+    B[1:] += L[1, :-1, None] * C[:-1]
+    np.copyto(B, 0, where=np.abs(B) < _FLOOR)
+    return B.T
 
 
 def exp_matrix(c, basis):
     """Full matrix of <phi_n| e^{-c r} |phi_m>."""
-    if c < 0:
-        raise ValueError("exp_matrix requires c >= 0")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("exp_matrix requires a finite c >= 0, got c = %r" % (c,))
     return _symmetrize(dsyrk(1.0, _exp_factor(c, basis), trans=1, lower=1))
 
 
@@ -370,7 +394,10 @@ def morse_matrix(p, basis):
     Composed directly from the two exponential kernels of the potential,
     depth e^{2w} exp(-2w r/r_eq) - 2 beta depth e^{w} exp(-w r/r_eq),
     so the relative sign of the two wells cannot be misassembled; the
-    second dsyrk accumulates into the first one's lower triangle.
+    second dsyrk accumulates into the first one's lower triangle.  Both
+    factors are floored at _FLOOR (_exp_factor), so neither dsyrk forms a
+    product below the normal float64 range, and the matrix is accurate to
+    about N eps relative to the two wells' Gram scales, not elementwise.
     """
     w = p.width
     V = dsyrk(p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis), trans=1, lower=1)

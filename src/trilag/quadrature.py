@@ -60,10 +60,25 @@ class QuadRule:
     log_weights: np.ndarray  # longdouble, ln(w_i); every w_i > 0
 
 
+# columns a mirror step copies; _UPPER masks a diagonal block's strict upper part
+_MIRROR_BLOCK = 64
+_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
+
+
 def _symmetrize(M):
-    """Mirror the lower triangle of M into its upper one, in place; returns M."""
-    for i in range(M.shape[0] - 1):
-        M[i, i + 1:] = M[i + 1:, i]
+    """Mirror the lower triangle of M into its upper one, in place; returns M.
+
+    One block of _MIRROR_BLOCK columns a step: a masked copy within the
+    diagonal block, one transposed copy of the strip below it.  Entries are
+    only copied, so the result keeps the lower triangle's bits, signed zeros
+    included.
+    """
+    N = M.shape[0]
+    for j in range(0, N, _MIRROR_BLOCK):
+        e = min(j + _MIRROR_BLOCK, N)
+        D = M[j:e, j:e]
+        np.copyto(D, D.T, where=_UPPER[:e - j, :e - j])
+        M[j:e, e:] = M[e:, j:e].T
     return M
 
 

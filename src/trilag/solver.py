@@ -130,6 +130,12 @@ def _require_count(k):
         raise ValueError("k must be an integer >= 1, got %r" % (k,))
 
 
+def _require_tolerance(name, value):
+    # a NaN tolerance compares false everywhere: no plateau, nothing converged
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
+
+
 def _continued(potential, bases, k):
     """The k lowest levels in each basis in turn, one row each: every solve
     starts from the levels of the one before."""
@@ -247,6 +253,7 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     if np.any(np.diff(grid) <= 0):
         raise ValueError("lam grid must be strictly ascending")
     _require_count(k)
+    _require_tolerance("tol_rel", tol_rel)
 
     basis = _resolve(potential, basis)
     if threads is not None and threads > 1 and potential.diagonal(basis) is None:
@@ -293,6 +300,7 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
     _require_count(k)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
+    _require_tolerance("tol", tol)
     basis = _resolve(potential, basis)
     traces = _continued(potential, (basis.with_size(N) for N in n_grid), k)
     if len(n_grid) >= 2:

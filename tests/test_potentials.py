@@ -7,7 +7,7 @@ import pytest
 import trilag.potentials
 import trilag.quadrature
 from trilag._golden import TABLE3, TABLE3_LAM
-from trilag.basis import BasisSpec, overlap_matrix
+from trilag.basis import BasisSpec, _overlap_factor, overlap_matrix
 from trilag.potentials import (
     KratzerParams,
     MorseParams,
@@ -363,6 +363,12 @@ class TestExpElement:
         with pytest.raises(ValueError):
             exp_matrix(-0.1, BasisSpec(1.0, 0, 2))
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, c):
+        # not a matrix of NaN
+        with pytest.raises(ValueError, match="finite c >= 0, got c = "):
+            exp_matrix(c, BasisSpec(1.0, 0, 2))
+
     def test_element_matches_matrix(self):
         # an element does not depend on the basis size it is computed in
         b = BasisSpec(lam=2.0, ell=2, size=10)
@@ -401,6 +407,53 @@ class TestExpKernel:
     @pytest.mark.parametrize("ell", [0, 1, 5])
     def test_matches_recurrence_form(self, ell, N, c):
         assert self.gram_deviation(c, BasisSpec(lam=1.0, ell=ell, size=N)) <= 1e-13
+
+
+def _unfloored_factor(c, basis):
+    """B = L_S C^' combined in longdouble before one cast, with no floor: the
+    factor the floored float64 one replaced."""
+    N, nu = basis.size, basis.nu
+    C = trilag.potentials._normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
+    L = _overlap_factor(N, nu, np.longdouble)
+    B = C * L[0, :, None]
+    B[1:] += L[1, :-1, None] * C[:-1]
+    return B
+
+
+class TestKernelFloor:
+    # every entry of a kernel factor is 0 or at least 2^-511 in size, so no
+    # product of two entries in the dsyrk underflows
+    FLOOR = 2.0 ** -511
+
+    def test_dsyrk_operands_in_normal_range(self, monkeypatch):
+        operands = []
+        dsyrk = trilag.potentials.dsyrk
+
+        def spy(alpha, a, **kwargs):
+            operands.append(np.array(a))
+            return dsyrk(alpha, a, **kwargs)
+
+        monkeypatch.setattr(trilag.potentials, "dsyrk", spy)
+        (ell, r0, width, depth), _ = next(row for row in TABLE3 if row[0][0] == 1)
+        b = BasisSpec(lam=TABLE3_LAM, ell=ell, size=400)
+        morse_matrix(MorseParams(depth=depth, r_eq=r0, width=width, beta=1.2), b)
+        exp_matrix(0.75, b)
+        assert len(operands) == 3
+        for a in operands:
+            assert ((a == 0) | (np.abs(a) >= self.FLOOR)).all()
+        # the unfloored factor has entries the floor drops
+        B = _unfloored_factor(0.75, b)
+        assert ((B != 0) & (np.abs(B) < self.FLOOR)).any()
+
+    @pytest.mark.parametrize("c,lam", [(0.75, 12.0), (0.375, 12.0), (1.5, 1.0), (4.0, 1.0)])
+    @pytest.mark.parametrize("ell", [0, 1, 5])
+    def test_matches_unfloored_kernel(self, ell, c, lam):
+        # relative to sqrt(K_nn K_mm), TestExpKernel's normwise gate
+        b = BasisSpec(lam=lam, ell=ell, size=400)
+        B = _unfloored_factor(c, b).astype(float)
+        ref = B @ B.T
+        d = np.sqrt(np.diag(ref))
+        assert float(np.max(np.abs(exp_matrix(c, b) - ref) / np.outer(d, d))) <= 1e-13
 
 
 class TestMorse:

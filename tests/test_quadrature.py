@@ -236,3 +236,29 @@ class TestMatrixOracle:
         small = BasisSpec(lam=1.3, ell=2, size=10)
         np.testing.assert_array_equal(
             quad_potential_matrix(v, small), quad_potential_matrix(v, small, order=300))
+
+
+def _row_mirror(M):
+    """The row-by-row mirror the blocked _symmetrize replaced."""
+    for i in range(M.shape[0] - 1):
+        M[i, i + 1:] = M[i + 1:, i]
+    return M
+
+
+class TestSymmetrize:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 400])
+    def test_matches_row_mirror(self, N, order):
+        # bit-identical, signed zeros included: tril(M) + tril(M, -1).T would
+        # turn a -0.0 below the diagonal into +0.0 above it
+        rng = np.random.default_rng(N)
+        M = np.asarray(rng.standard_normal((N, N)), order=order)
+        M[rng.random((N, N)) < 0.2] = -0.0
+        M[rng.random((N, N)) < 0.1] = 0.0
+        want = _row_mirror(M.copy(order="K"))
+        got = quadrature._symmetrize(M)
+        assert got is M
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if N > 1:
+            assert np.signbit(got[np.triu_indices(N, 1)]).any()

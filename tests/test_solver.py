@@ -137,6 +137,13 @@ class TestLambdaScan:
         with pytest.raises(ValueError):
             lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 50), [1, 2, 2, 3, 4], k=1)
 
+    @pytest.mark.parametrize("tol_rel", [float("nan"), float("inf"), -1e-9])
+    def test_tol_rel_must_be_finite(self, tol_rel):
+        # a NaN tolerance would find no plateau, silently
+        with pytest.raises(ValueError, match="tol_rel must be finite and >= 0"):
+            lambda_scan(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50),
+                        np.arange(1.0, 3.01, 0.5), 1, tol_rel=tol_rel)
+
     def test_threads_deterministic(self):
         grid = np.arange(1.0, 3.01, 0.5)
         serial = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 60), grid, k=2)
@@ -250,6 +257,12 @@ class TestConvergeInN:
         # not traces of shape (0,) beside a converged array of length k
         with pytest.raises(ValueError, match="n_grid must hold at least one basis size"):
             converge_in_n(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50), (), 2)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12])
+    def test_tol_must_be_finite(self, tol):
+        # a NaN tolerance would report no level converged, silently
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            converge_in_n(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50), (40, 50), 2, tol=tol)
 
     @pytest.mark.parametrize("k", [2.5, 0, -1, "2"])
     def test_k_must_be_integer_at_least_one(self, k):
