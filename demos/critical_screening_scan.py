@@ -2,8 +2,11 @@
 
 As the screening delta grows, the cosine-screened Coulomb well supports
 fewer and fewer bound levels.  This script counts levels across a delta
-grid and then bisects the exact detachment points of the second and
-third s-wave states.
+grid and then bisects the detachment points of the second and third
+s-wave states in the default basis (N = 100, lam = 1).  These are
+truncated-basis values: a larger basis binds each level more deeply, so
+the critical delta rises with N (0.32096 at N = 100, 0.32324 at N = 400
+for the second state) and the printed values are lower bounds.
 """
 
 import numpy as np
@@ -24,8 +27,8 @@ def main():
 
     dc2 = critical_screening(cos_yukawa(0.1), ell=0, level=1, bracket=(0.2, 0.5))
     dc3 = critical_screening(cos_yukawa(0.1), ell=0, level=2, bracket=(0.1, 0.2))
-    print("\nsecond s-state detaches near delta = %.4f" % dc2)
-    print("third  s-state detaches near delta = %.4f" % dc3)
+    print("\nsecond s-state detaches near delta = %.4f (N = 100 lower bound)" % dc2)
+    print("third  s-state detaches near delta = %.4f (N = 100 lower bound)" % dc3)
 
 
 if __name__ == "__main__":

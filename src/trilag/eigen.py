@@ -6,16 +6,16 @@ eigenvalues are the pencil eigenvalues and whose eigenvectors map back to
 S-orthonormal pencil eigenvectors through L^{-T}.
 
 The factor is taken in LAPACK band storage, from the pencil
-(_tridiagonalize asks it for the factor and its H).  A Pencil's factor is
-computed from its s by dpbtrf: L has the lower bandwidth kd of S (the
-farthest nonzero subdiagonal), so the factorisation costs O(N kd^2).  The
-solver's own pencils (solver._pencil) never form S: the basis overlap is
-tridiagonal, its factor is lower bidiagonal in closed form
-(basis._overlap_factor), and their H, built for the one solve, is reduced
-in its own buffer.  For a bidiagonal factor (kd = 1) L^{-1} is rank-one
-below the diagonal, L^{-1}[n, m] = u_n v_m for m <= n (a semiseparable
-matrix; Vandebril, Van Barel & Mastronardi, Matrix Computations and
-Semiseparable Matrices, 2008).  Then
+(_tridiagonalize asks it for the factor and an H to reduce in place).  A
+Pencil's factor is computed from its s by dpbtrf, and its h is copied: L
+has the lower bandwidth kd of S (the farthest nonzero subdiagonal), so the
+factorisation costs O(N kd^2).  The solver's own pencils (solver._pencil)
+never form S: the basis overlap is tridiagonal, its factor is lower
+bidiagonal in closed form (basis._overlap_factor), and their H, built for
+the one solve, is reduced in its own buffer.  For a bidiagonal factor
+(kd = 1) L^{-1} is rank-one below the diagonal, L^{-1}[n, m] = u_n v_m for
+m <= n (a semiseparable matrix; Vandebril, Van Barel & Mastronardi, Matrix
+Computations and Semiseparable Matrices, 2008).  Then
 A[i, j] = u_i u_j sum_{n <= i, m <= j} v_n v_m H[n, m] is two prefix sums
 over one N x N buffer, O(N^2).  Every other factor (kd != 1, a zero
 subdiagonal, or generators past the float64 range) takes two triangular
@@ -40,28 +40,27 @@ A fourth kind needs no reduction at all: the k lowest eigenvalues of a
 TridiagonalPencil, H = M - c S with M diagonal and S tridiagonal, which is
 the basis pencil of any potential whose matrix is diagonal (the Kratzer well
 at its natural basis index, a J-matrix pencil: Heller & Yamani, Phys. Rev. A
-9, 1201 (1974)).  With eps = E + c it reads M f = eps S f.  Where M is
-positive definite, S f = (1/eps) M f makes the levels E = 1/mu - c, mu the
-k largest eigenvalues of the tridiagonal M^{-1/2} S M^{-1/2}: one dstebz.
-Elsewhere Sturm counts of T(eps) = M - eps S, whose number of negative
-eigenvalues is, by Sylvester's law of inertia (S is positive definite,
-which the pencil checks with dpttrf), the number of levels below eps, only
-isolate each level: dstebz with a value range and no refinement returns
-that count in O(N), and bisection stops once a bracket (a, b] holds one
-level.  Rayleigh-quotient iteration on the pencil (one dgtsv solve of
-M - sigma S and a tridiagonal S product a step, O(N); Parlett, The
-Symmetric Eigenvalue Problem, ch. 4) finishes it inside (a, b], and two
-counts certify it within 4 eps relative; a level that fails is bisected.
-Neither forms a dense matrix or calls dsytrd.  A driver that solves a
-sequence of nearby pencils (a scan in lam, a growing basis) hands each
-solve the levels of the one before (_tridiagonal_lowest with a guess):
-level j runs Rayleigh-quotient iteration from its guess and is accepted
-only if the quotient is finite and the same two counts certify it,
+9, 1201 (1974)).  With eps = E + c it reads M f = eps S f.  By Sylvester's
+law of inertia (S is positive definite, which the pencil checks with
+dpttrf) the number of negative eigenvalues of T(eps) = M - eps S is the
+number of levels below eps: a Sturm count, which dstebz with a value range
+and no refinement returns in O(N).  Rayleigh-quotient iteration on the
+pencil (one dgtsv solve of M - sigma S and a tridiagonal S product a step,
+O(N); Parlett, The Symmetric Eigenvalue Problem, ch. 4) finds a level, and
+two counts certify it as level j within 4 eps relative:
 count(eps - delta) <= j < count(eps + delta) with delta = 4 eps |eps|.
-Any failure (no convergence within _RQI_STEPS, a non-finite quotient, a
-failed certificate, fewer guesses than levels) solves the pencil cold, as
-above.  A level then costs one or two O(N) steps and two counts, against
-about seven counts to isolate it or a share of a full-precision dstebz.
+
+The levels are taken one at a time in one loop.  A driver that solves a
+sequence of nearby pencils (a scan in lam, a growing basis) hands each
+solve the levels of the one before as a guess, and level j first iterates
+from guess[j]: one or two O(N) steps and the two counts.  A level with no
+guess, or whose guess fails (no convergence within _RQI_STEPS, a non-finite
+quotient, a failed certificate), is isolated instead: bisection on counts
+shared by every level still open stops once a bracket (a, b] holds it
+alone, about seven counts; the iteration finishes it inside (a, b], and a
+level that fails the certificate there is bisected to its last bits.  A
+failed guess thus costs only its own level.  Neither route forms a dense
+matrix or calls dsytrd.
 
 A fifth kind asks no eigenvalue at all: count_below, the number of levels
 below sigma, which is the number of negative eigenvalues of H - sigma S
@@ -117,10 +116,10 @@ class Pencil:
             raise ValueError("pencil matrices must be square with equal shape")
 
     def _operands(self):
-        """The band Cholesky factor of s, h, and whether the reduction may
-        overwrite h: never, h is the caller's."""
+        """The band Cholesky factor of s, and a copy of h for the reduction
+        to overwrite."""
         c = _band_cholesky(np.asarray(self.s, dtype=float))
-        return c, np.asarray(self.h, dtype=float), False
+        return c, np.array(self.h, dtype=float, order="C")
 
     def _shifted(self, sigma):
         """A fresh H - sigma S for count_below, after checking that s is
@@ -249,12 +248,12 @@ def _generators(c):
     return u.astype(float), v.astype(float)
 
 
-def _reduce(c, h, overwrite_h=False):
+def _reduce(c, h):
     """A = L^{-1} H L^{-T} for the band factor c of S, in the Fortran order
     dsytrd overwrites; only its lower triangle is guaranteed.
 
-    With overwrite_h the prefix sums run in h's own buffer, which then must
-    hold an exactly symmetric H (an F-ordered h is summed as its transpose).
+    The prefix sums run in h's own buffer, which must hold an exactly
+    symmetric H (an F-ordered h is summed as its transpose).
     """
     g = _generators(c)
     if g is None:
@@ -268,11 +267,8 @@ def _reduce(c, h, overwrite_h=False):
     # runs over the longer index range (at N = 800, 3.5e-15 relative
     # against 5.4e-15 for the other order).
     u, v = g
-    if overwrite_h:
-        W = h if h.flags.c_contiguous else h.T
-        W *= v
-    else:
-        W = np.multiply(h, v, order="C")
+    W = h if h.flags.c_contiguous else h.T
+    W *= v
     W *= v[:, None]
     np.cumsum(W, axis=1, out=W)
     np.cumsum(W, axis=0, out=W)
@@ -284,18 +280,18 @@ def _reduce(c, h, overwrite_h=False):
 def _tridiagonalize(p):
     """Reduce the pencil to the standard tridiagonal problem.
 
-    The pencil supplies the band Cholesky factor c of S and its H
-    (p._operands()).  Returns (c, QT, d, e, tau): that factor, and the
-    dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T with diagonal d and
-    subdiagonal e, the reflectors of Q stored below the subdiagonal of QT
-    with their scalars tau.  Emits a warning when the squared ratio of the
+    The pencil supplies the band Cholesky factor c of S and an H the
+    reduction may overwrite (p._operands()).  Returns (c, QT, d, e, tau):
+    that factor, and the dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T
+    with diagonal d and subdiagonal e, the reflectors of Q stored below the
+    subdiagonal of QT with their scalars tau.  Emits a warning when the squared ratio of the
     largest to the smallest Cholesky pivot, a lower bound on the 2-norm
     condition number of S, exceeds 1e12 (accuracy of the reduction
     degrades); for the basis overlap it is (N+nu)/(nu+1), so it cannot
     fire there: at N = 400 it reads 400 (nu = 0) and 134 (nu = 2) against a
     condition number of 4.3e5 and 9.5e4.
     """
-    c, h, overwrite_h = p._operands()
+    c, h = p._operands()
     piv = np.abs(c[0])
     if (piv.max() / piv.min()) ** 2 > _COND_WARN:
         warnings.warn(
@@ -303,7 +299,7 @@ def _tridiagonalize(p):
             "%.2e); eigenvalues may lose accuracy" % float((piv.max() / piv.min()) ** 2),
             RuntimeWarning,
         )
-    A = _reduce(c, h, overwrite_h)
+    A = _reduce(c, h)
     # Q^T A Q = T, tridiagonal (d, e), from the lower triangle of A
     lwork, info = dsytrd_lwork(A.shape[0], lower=1)
     _check_converged(info, "dsytrd_lwork")
@@ -414,20 +410,20 @@ def _rayleigh(p, a, b, sigma, x):
     return None, x
 
 
-def _sturm_levels(p, k):
-    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending.
+def _certified(p, sigma, j):
+    """Whether two Sturm counts place level j of the tridiagonal pencil p
+    within 4 eps relative of eps = sigma: count(sigma - delta) <= j <
+    count(sigma + delta) with delta = 4 eps |sigma|."""
+    if not np.isfinite(sigma):
+        return False
+    delta = 4 * _EPS * abs(sigma)
+    return _sturm_count(p, sigma - delta) <= j < _sturm_count(p, sigma + delta)
 
-    Sturm counts isolate each level.  The bracket comes from the counts: it
-    doubles out from the scale of m until no level lies below its lower end
-    and k levels below its upper end.  Each count narrows the brackets of
-    every level still open, and level j is bisected until its bracket
-    (a, b] holds it alone, count(a) = j and count(b) = j + 1.
-    Rayleigh-quotient iteration then finishes it; a quotient that leaves
-    (a, b] costs one more bisection step and a restart from the new
-    midpoint.  Two counts certify the result within 4 eps relative, and a
-    level that fails them is bisected to a relative width 2 eps.
-    """
-    N = len(p.m)
+
+def _brackets(p, k):
+    """Brackets [a, count(a), b, count(b)] of the k lowest eps = E + p.shift
+    of the tridiagonal pencil p: each the same interval, which doubles out
+    from the scale of m until no level lies below a and k lie below b."""
     lo = -max(1.0, float(np.max(np.abs(p.m))))
     while _sturm_count(p, lo) > 0:
         lo *= 2
@@ -436,12 +432,38 @@ def _sturm_levels(p, k):
     while n_hi < k:
         hi *= 2
         n_hi = _sturm_count(p, hi)
-    # level i lies in (a, b] of brackets[i] = [a, count(a), b, count(b)]
-    brackets = [[lo, 0, hi, n_hi] for _ in range(k)]
+    return [[lo, 0, hi, n_hi] for _ in range(k)]
+
+
+def _tridiagonal_lowest(p, k, guess=None):
+    """The k lowest levels of the tridiagonal pencil p, ascending (k <= N),
+    one level at a time (see the module notes).
+
+    With guess, the levels of a nearby pencil (ascending), level j first
+    runs Rayleigh-quotient iteration from eps = guess[j] + p.shift, with no
+    bracket beyond the float range, and is kept if certified.  Otherwise
+    the shared brackets are bisected until level j's, (a, b], holds it
+    alone (count(a) = j, count(b) = j + 1); a quotient that leaves (a, b]
+    costs one more bisection step and a restart from the new midpoint, and
+    a level that fails the certificate is bisected to a relative width
+    2 eps.
+    """
+    N = len(p.m)
+    if N == 1:
+        return p.m / p.s - p.shift
+    n_guess = 0 if guess is None else len(guess)
+    brackets = None
     levels = np.empty(k)
     for j in range(k):
-        br = brackets[j]
-        x, rqi = np.full(N, N ** -0.5), True
+        x = np.full(N, N ** -0.5)
+        if j < n_guess:
+            sigma, _ = _rayleigh(p, -_HUGE, _HUGE, guess[j] + p.shift, x)
+            if sigma is not None and _certified(p, sigma, j):
+                levels[j] = sigma
+                continue
+        if brackets is None:
+            brackets = _brackets(p, k)
+        br, rqi = brackets[j], True
         while True:
             a, n_a, b, n_b = br
             mid = 0.5 * (a + b)
@@ -451,8 +473,7 @@ def _sturm_levels(p, k):
             if rqi and n_a == j and n_b == j + 1:
                 sigma, x = _rayleigh(p, a, b, mid, x)
                 if sigma is not None:
-                    delta = 4 * _EPS * abs(sigma)
-                    if _sturm_count(p, sigma - delta) <= j < _sturm_count(p, sigma + delta):
+                    if _certified(p, sigma, j):
                         levels[j] = sigma
                         break
                     rqi = False
@@ -464,58 +485,7 @@ def _sturm_levels(p, k):
                         br_i[2:] = mid, n
                 elif mid > br_i[0]:
                     br_i[:2] = mid, n
-    return levels
-
-
-def _warm_levels(p, k, guess):
-    """The k lowest eps = E + p.shift of the tridiagonal pencil p, ascending,
-    by Rayleigh-quotient iteration from the levels guess (E, ascending) of a
-    nearby pencil, or None.
-
-    Level j starts from eps = guess[j] + p.shift and the unit vector of
-    equal entries, and is accepted only if its quotient is finite and two
-    counts certify it within 4 eps relative, count(eps - delta) <= j <
-    count(eps + delta) with delta = 4 eps |eps|; None on the first level
-    that fails, or with fewer than k guesses.
-    """
-    if len(guess) < k:
-        return None
-    N = len(p.m)
-    levels = np.empty(k)
-    for j in range(k):
-        # no bracket beyond the float range: an infinite or NaN quotient stops it
-        sigma, _ = _rayleigh(p, -_HUGE, _HUGE, guess[j] + p.shift, np.full(N, N ** -0.5))
-        if sigma is None or not np.isfinite(sigma):
-            return None
-        delta = 4 * _EPS * abs(sigma)
-        if not _sturm_count(p, sigma - delta) <= j < _sturm_count(p, sigma + delta):
-            return None
-        levels[j] = sigma
-    return levels
-
-
-def _tridiagonal_lowest(p, k, guess=None):
-    """The k lowest levels of the tridiagonal pencil p, ascending (k <= N).
-
-    With guess, the levels of a nearby pencil (ascending), each level is
-    first sought by Rayleigh-quotient iteration from its guess
-    (_warm_levels); if any fails, the pencil is solved as without one.
-    """
-    N = len(p.m)
-    if N == 1:
-        return p.m / p.s - p.shift
-    if guess is not None:
-        levels = _warm_levels(p, k, guess)
-        if levels is not None:
-            return levels - p.shift
-    if np.all(p.m > 0):
-        # mu = 1/eps: the k largest eigenvalues of M^{-1/2} S M^{-1/2}
-        r = 1 / np.sqrt(p.m)
-        d, e = p.s * r * r, p.t * r[1:] * r[:-1]
-        _, mu, _, _, info = dstebz(d, e, 2, 0.0, 0.0, N - k + 1, N, _BISECT_TOL, "E")
-        _check_converged(info, "dstebz")
-        return 1 / mu[k - 1::-1] - p.shift
-    return _sturm_levels(p, k) - p.shift
+    return levels - p.shift
 
 
 def _inertia(a):
@@ -567,12 +537,13 @@ def count_below(p, sigma):
     return _inertia(p._shifted(sigma))
 
 
-def lowest_eigenvalues(p, k):
+def lowest_eigenvalues(p, k, guess=None):
     """The min(k, N) lowest eigenvalues of the pencil, ascending.
 
     No eigenvectors are formed.  A TridiagonalPencil is solved as it
-    stands, O(N) per Sturm count or Rayleigh-quotient step (see the module
-    notes).  Any other pencil is tridiagonalised once and its levels come
+    stands, O(N) per Sturm count or Rayleigh-quotient step, and each level
+    with a guess (the ascending levels of a nearby pencil) is first sought
+    from it (see the module notes).  Any other pencil ignores guess: it is tridiagonalised once and its levels come
     from Sturm-sequence bisection on T (dstebz), O(N k); it emits the same
     warning as solve_pencil when the squared Cholesky pivot ratio of S, a
     lower bound on its condition number, exceeds 1e12.
@@ -580,7 +551,7 @@ def lowest_eigenvalues(p, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(p, TridiagonalPencil):
-        return _tridiagonal_lowest(p, min(k, len(p.m)))
+        return _tridiagonal_lowest(p, min(k, len(p.m)), guess)
     _, _, d, e, _ = _tridiagonalize(p)
     N = len(d)
     if N == 1:

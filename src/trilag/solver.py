@@ -21,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import BasisSpec, _add_h0, _add_tridiagonal, _bands, _overlap_factor
-from .eigen import (TridiagonalPencil, _tridiagonal_lowest, count_below, lowest_eigenvalues,
-                    solve_pencil)
-from .potentials import Potential
+from .eigen import TridiagonalPencil, count_below, lowest_eigenvalues, solve_pencil
+from .potentials import Potential, YukawaParams
 
 __all__ = [
     "SpectrumResult",
@@ -86,7 +85,7 @@ class _BasisPencil:
         return h
 
     def _operands(self):
-        return _overlap_factor(self.basis.size, self.basis.nu), self._take_h(), True
+        return _overlap_factor(self.basis.size, self.basis.nu), self._take_h()
 
     def _shifted(self, sigma):
         diag, off = _bands(self.basis)
@@ -112,17 +111,16 @@ def _lowest(potential, basis, k, start=None):
     are c (2 s - S) with c = lam^2/8 and s the diagonal of S, so
     H0 + diag(v) = diag(2 c s + v) - c S, and no dense matrix is formed.
     Such a pencil starts from the levels start of the previous solve, when
-    given (eigen._tridiagonal_lowest); a dense pencil ignores it.
+    given (eigen.lowest_eigenvalues); a dense pencil ignores it.
     """
     v = potential.diagonal(basis)
     if v is None:
-        return lowest_eigenvalues(_pencil(potential, basis), k)
-    s, t = _bands(basis)
-    c = basis.lam ** 2 / 8.0
-    p = TridiagonalPencil(2 * c * s + v, c, s, -t)
-    if start is None:
-        return lowest_eigenvalues(p, k)
-    return _tridiagonal_lowest(p, min(k, basis.size), start)
+        p = _pencil(potential, basis)
+    else:
+        s, t = _bands(basis)
+        c = basis.lam ** 2 / 8.0
+        p = TridiagonalPencil(2 * c * s + v, c, s, -t)
+    return lowest_eigenvalues(p, k, start)
 
 
 def _require_count(k):
@@ -172,10 +170,14 @@ def bound_states(potential, basis):
 
 def kratzer_exact(coulomb, b, ell, n):
     """Exact Kratzer level E_n = -coulomb^2 / (2 (n + 1/2 + sqrt(b + ell^2))^2)."""
+    if not (math.isfinite(coulomb) and math.isfinite(b)):
+        raise ValueError("coulomb and b must be finite, got %r and %r" % (coulomb, b))
+    if not isinstance(ell, numbers.Integral):
+        raise ValueError("angular momentum ell must be an integer, got %r" % (ell,))
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError("level index n must be an integer >= 0, got %r" % (n,))
     if b + ell * ell <= 0:
         raise ValueError("kratzer_exact requires b + ell^2 > 0")
-    if n < 0:
-        raise ValueError("level index must be >= 0")
     return -coulomb ** 2 / (2.0 * (n + 0.5 + math.sqrt(b + ell * ell)) ** 2)
 
 
@@ -234,8 +236,8 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     tridiagonal pencil, with no dense matrix.  The scan continues along the
     grid: each tridiagonal solve starts from the levels of the point before
     and takes one or two Rayleigh-quotient steps and two certifying Sturm
-    counts a level, falling back to a cold solve wherever that fails
-    (eigen._tridiagonal_lowest).  A tridiagonal scan is therefore one
+    counts a level, isolating by Sturm counts only the levels where that
+    fails (eigen.lowest_eigenvalues).  A tridiagonal scan is therefore one
     ordered run, whatever threads says.  With threads > 1 the points of a
     dense pencil, which stay independent, are solved on a thread pool, but
     scipy's LAPACK wrappers hold the GIL, so only the numpy part of the
@@ -311,7 +313,15 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
 
 
 def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
-    """Bisect the screening delta at which the given level detaches.
+    """Bisect the screening delta at which the given level detaches, for a
+    screened Yukawa well p (YukawaParams; its with_screening sets delta).
+
+    The result is the detachment point in the truncated basis, not the
+    converged one.  At fixed lam the bases are nested, so each truncated
+    level can only fall as N grows (Cauchy interlacing): the truncated
+    critical delta rises with N and bounds the converged one from below.
+    At the default basis (N = 100, lam = 1) the second s-state of the
+    cosine well reads 0.32096, against 0.32324 at N = 400.
 
     The predicate is that level `level` lies below -ZERO_BAND, which is
     the same as more than `level` levels being bound: one count of the
@@ -329,10 +339,13 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     200) a step takes about 0.9-1.3 ms, of which the assembly is 0.7-1.0 ms,
     against 1.4-2.2 ms and 1.2-1.9 ms with the recurrence rerun each step.
     """
+    if not isinstance(p, YukawaParams):
+        raise ValueError("critical_screening needs a screened Yukawa well (YukawaParams), "
+                         "got %s" % type(p).__name__)
     if not isinstance(level, numbers.Integral) or level < 0:
         raise ValueError("level must be an integer >= 0, got %r" % (level,))
-    if not tol > 0:
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be > 0 and finite, got %r" % (tol,))
     if basis is None:
         basis = BasisSpec(lam=1.0, ell=ell, size=100)
     elif abs(basis.ell) != abs(ell):

@@ -246,6 +246,11 @@ class TestLowestEigenvalues:
         np.testing.assert_allclose(lowest_eigenvalues(p, 7), ref[:7], rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
+    def test_dense_pencil_ignores_guess(self):
+        p = _random_pencil(30, 2)
+        w = lowest_eigenvalues(p, 4)
+        assert lowest_eigenvalues(p, 4, w + 1.0).tobytes() == w.tobytes()
+
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
             lowest_eigenvalues(_pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, 10)), 0)
@@ -287,7 +292,7 @@ class TestPrefixSumReduction:
         c = _overlap_factor(N, b.nu)
         assert _generators(c) is not None
         ref = _longdouble_reduction(c, p.h)
-        A = _reduce(c, p.h)
+        A = _reduce(c, p.h.copy())
         assert A.flags.f_contiguous
         diag = np.abs(np.diagonal(ref)).astype(float)
         err = np.abs(A - ref).astype(float) / np.sqrt(np.outer(diag, diag))
@@ -330,6 +335,25 @@ PATH_CASES = {
 
 
 class TestReductionPathChoice:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pencil_h_copied_bit_for_bit(self, order):
+        # the reduction overwrites a copy of the caller's h, in C order
+        # whatever the order of h: the levels and a vector are pinned bit
+        # for bit, as a reduction that read h without writing it gave them
+        p = _tridiagonal_spd(8, 5)
+        h = np.array(p.h, order=order)
+        before = h.copy()
+        w = solve_pencil(Pencil(h, p.s))
+        _, F = solve_pencil(Pencil(h, p.s), eigvecs=True)
+        assert np.array_equal(h, before)
+        assert w.tolist() == [-2.0763127920767546, -1.453672336787843, -0.8209141575143087,
+                              -0.4796104781145665, 0.08476491294897624, 0.4207670442101868,
+                              0.6699998444473884, 1.892375022364313]
+        assert F[:, 0].tolist() == [0.45097220976922736, -0.051638075095670886,
+                                    0.13475757011633663, 0.14048826805314152,
+                                    0.30487424606121144, 0.09109108538573536,
+                                    0.05380242124368295, 0.05698399120128105]
+
     @pytest.mark.parametrize("case", sorted(PATH_CASES))
     def test_levels_match_scipy(self, case):
         make, prefix = PATH_CASES[case]
@@ -370,8 +394,7 @@ class TestTridiagonalPencil:
         assert w.tolist() == [-1.0]
 
     @pytest.mark.parametrize("m, pivot", [
-        # S is indefinite; M is definite, so the levels would come from dstebz
-        # on M^{-1/2} S M^{-1/2}, where a k = 2 request missed the level -0.992
+        # S is indefinite and M definite
         ([1.0, 1.0, 2.0], 1),
         # M is indefinite too: the Sturm bracket doubled out to infinity
         ([-1.0, 1.0, 2.0], 1),
@@ -423,7 +446,8 @@ class TestTridiagonalLevels:
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.6, 1.0])
     def test_both_sides_of_definite_m(self, lam):
-        # M > 0 from lam = 4A/(nu+1) = 0.5714 on (dstebz on M^{-1/2} S M^{-1/2})
+        # M > 0 from lam = 4A/(nu+1) = 0.5714 on; one path and one
+        # certificate on either side
         p, basis = _kratzer_tridiagonal(lam, 200)
         assert np.all(p.m > 0) == (lam > 4 / (basis.nu + 1))
         H, S = _dense(p)
@@ -431,8 +455,7 @@ class TestTridiagonalLevels:
         w = lowest_eigenvalues(p, 6)
         # eigh's own error scales with the whole spectrum
         np.testing.assert_allclose(w, ref[:6], rtol=0, atol=1e-13 * np.abs(ref).max())
-        if not np.all(p.m > 0):
-            self._contract(p, w, 4)
+        self._contract(p, w, 4)
 
     def test_close_twins_resolved(self):
         p = _twin_pencil()
@@ -476,56 +499,88 @@ class TestTridiagonalLevels:
 
 
 class TestWarmStart:
-    # _tridiagonal_lowest(p, k, guess): Rayleigh-quotient iteration from each
-    # guessed level, certified by two counts; any failure solves cold
+    # lowest_eigenvalues(p, k, guess): level j first runs Rayleigh-quotient
+    # iteration from guess[j], kept if two counts certify it; a level with
+    # no guess, or whose guess fails, is isolated by counts as in a cold solve
     EPS = np.finfo(float).eps
 
     @pytest.fixture
-    def warm_results(self, monkeypatch):
-        results = []
-        warm = eigen._warm_levels
-        monkeypatch.setattr(eigen, "_warm_levels",
-                            lambda p, k, guess: results.append(warm(p, k, guess)) or results[-1])
-        return results
+    def counts(self, monkeypatch):
+        points = []
+        count = eigen._sturm_count
+        monkeypatch.setattr(eigen, "_sturm_count", lambda p, e: points.append(e) or count(p, e))
+        return points
 
-    # M > 0 from lam = 0.5714 on: the cold path is dstebz above, Sturm
-    # isolation below
-    @pytest.mark.parametrize("lam", [0.3, 1.0])
-    def test_levels_as_guess_accepted(self, warm_results, lam):
-        p, _ = _kratzer_tridiagonal(lam, 200)
-        cold = lowest_eigenvalues(p, 5)
-        w = eigen._tridiagonal_lowest(p, 5, cold)
-        assert warm_results[0] is not None
+    def _assert_levels(self, p, w, cold):
         np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
 
+    # M > 0 from lam = 0.5714 on
     @pytest.mark.parametrize("lam", [0.3, 1.0])
-    @pytest.mark.parametrize("guess", ["next_level", "between", "too_few"])
-    def test_bad_guess_gives_the_levels(self, warm_results, lam, guess):
+    def test_levels_as_guess_accepted(self, counts, lam):
+        p, _ = _kratzer_tridiagonal(lam, 200)
+        cold = lowest_eigenvalues(p, 5)
+        counts.clear()
+        w = lowest_eigenvalues(p, 5, cold)
+        assert len(counts) == 10  # the two certifying counts of each level
+        self._assert_levels(p, w, cold)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    @pytest.mark.parametrize("guess", ["next_level", "between", "too_few", "non_finite"])
+    def test_bad_guess_gives_the_levels(self, lam, guess):
         p, _ = _kratzer_tridiagonal(lam, 200)
         cold = lowest_eigenvalues(p, 6)
         start = {"next_level": cold[1:],  # guess j nearer level j + 1
                  "between": 0.5 * (cold[:-1] + cold[1:]),
-                 "too_few": cold[:4]}[guess]
-        w = eigen._tridiagonal_lowest(p, 5, start)
-        if guess != "between":  # from a midpoint either neighbour may be found
-            assert warm_results == [None]
-        np.testing.assert_allclose(w + p.shift, cold[:5] + p.shift, rtol=4 * self.EPS, atol=0)
+                 "too_few": cold[:4],
+                 "non_finite": [np.nan, np.inf, -np.inf, np.nan, np.inf]}[guess]
+        w = lowest_eigenvalues(p, 5, start)
+        self._assert_levels(p, w, cold[:5])
 
-    def test_non_finite_quotient_falls_back(self, monkeypatch, warm_results):
+    def test_short_guess_taken_warm(self, counts):
+        # levels 0-3 from their guesses, level 4 isolated: fewer counts than
+        # a cold solve, and the first eight certify levels 0-3 in turn
+        p, _ = _kratzer_tridiagonal(0.3, 200)
+        cold = lowest_eigenvalues(p, 5)
+        n_cold = len(counts)
+        counts.clear()
+        w = lowest_eigenvalues(p, 5, cold[:4])
+        assert len(counts) < n_cold
+        eps_levels = np.repeat(cold[:4] + p.shift, 2)
+        np.testing.assert_allclose(counts[:8], eps_levels, rtol=8 * self.EPS, atol=0)
+        self._assert_levels(p, w, cold)
+
+    def test_one_wrong_guess_costs_its_level(self, counts):
+        # guess 2 leads to level 3: that level alone is isolated, and the
+        # other four keep their two certifying counts each (26 counts here,
+        # against 37 cold and 43 when a failed guess re-solved every level)
+        p, _ = _kratzer_tridiagonal(0.3, 200)
+        cold = lowest_eigenvalues(p, 5)
+        n_cold = len(counts)
+        counts.clear()
+        guess = cold.copy()
+        guess[2] = cold[3]
+        w = lowest_eigenvalues(p, 5, guess)
+        assert len(w) == 5
+        self._assert_levels(p, w, cold)
+        assert len(counts) < n_cold
+        np.testing.assert_allclose(counts[-4:], np.repeat(cold[3:] + p.shift, 2),
+                                   rtol=8 * self.EPS, atol=0)
+
+    def test_non_finite_quotient_falls_back(self, monkeypatch):
         p, _ = _kratzer_tridiagonal(0.3, 200)
         cold = lowest_eigenvalues(p, 5)
         monkeypatch.setattr(eigen, "_rqi_step", lambda p, sigma, x: (np.inf, x))
-        w = eigen._tridiagonal_lowest(p, 5, cold)
-        assert warm_results == [None]
-        np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
+        w = lowest_eigenvalues(p, 5, cold)
+        self._assert_levels(p, w, cold)
 
-    def test_twins_from_their_levels(self, warm_results):
+    def test_twins_from_their_levels(self, counts):
         # levels 1e-10 apart, each found from its own level and certified
         p = _twin_pencil()
         cold = lowest_eigenvalues(p, 8)
-        w = eigen._tridiagonal_lowest(p, 8, cold)
-        assert warm_results[0] is not None
-        np.testing.assert_allclose(w + p.shift, cold + p.shift, rtol=4 * self.EPS, atol=0)
+        counts.clear()
+        w = lowest_eigenvalues(p, 8, cold)
+        assert len(counts) == 16
+        self._assert_levels(p, w, cold)
 
 
 def _zero_diagonal_pencil(N, seed):

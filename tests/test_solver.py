@@ -102,6 +102,26 @@ class TestKratzerExact:
         with pytest.raises(ValueError):
             kratzer_exact(1.0, 1.0, 1, -1)
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, float("nan"), "1", None])
+    def test_level_index_must_be_integer(self, n):
+        # kratzer_exact(1, 1, 1, 0.5) read -0.0858, a level between levels
+        with pytest.raises(ValueError, match="level index n must be an integer >= 0"):
+            kratzer_exact(1.0, 1.0, 1, n)
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, float("nan")])
+    def test_ell_must_be_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            kratzer_exact(1.0, 1.0, ell, 0)
+
+    @pytest.mark.parametrize("coulomb, b", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                            (1.0, float("nan")), (1.0, float("inf"))])
+    def test_parameters_must_be_finite(self, coulomb, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            kratzer_exact(coulomb, b, 1, 0)
+
+    def test_numpy_integers(self):
+        assert kratzer_exact(1.0, 5.0, np.int64(5), np.int64(4)) == kratzer_exact(1.0, 5.0, 5, 4)
+
 
 class TestLambdaScan:
     def test_stable_plateau_weak_screening(self):
@@ -281,8 +301,7 @@ class TestContinuation:
     def _assert_cold(self, potential, bases, traces):
         # within 4 eps of the larger of |E| and |eps|, eps = E + lam^2/8 the
         # level of M f = eps S f: the certificate bounds eps relative to eps,
-        # and the cold M > 0 path (E = 1/mu - lam^2/8) is itself up to 250
-        # eps off relative to E on the scan's shallow levels
+        # which is more than |E| on the scan's shallow levels
         cold = np.array([solver._lowest(potential, b, traces.shape[1]) for b in bases])
         shift = np.array([[b.lam ** 2 / 8] for b in bases])
         scale = np.maximum(np.abs(cold), np.abs(cold + shift))
@@ -364,6 +383,17 @@ class TestCriticalScreening:
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
             critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5), tol=tol)
+
+    def test_tol_must_be_finite(self):
+        # an infinite tol returned the bracket midpoint without a bisection step
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            critical_screening(cos_yukawa(0.1), 0, 1, (0.2, 0.5), tol=float("inf"))
+
+    @pytest.mark.parametrize("p", [KratzerParams(1.0, 5.0), MORSE_WELL])
+    def test_unscreened_potential_rejected(self, p):
+        # not an AttributeError from the missing with_screening
+        with pytest.raises(ValueError, match="needs a screened Yukawa well"):
+            critical_screening(p, 0, 1, (0.2, 0.5))
 
     def test_tol_below_float_spacing_returns(self):
         # near 0.32 the bracket cannot narrow below the float spacing (5.6e-17),
