@@ -6,7 +6,7 @@ eigenvalues are the pencil eigenvalues and whose eigenvectors map back to
 S-orthonormal pencil eigenvectors through L^{-T}.
 
 The factor is taken in LAPACK band storage, from the pencil
-(_tridiagonalize asks it for the factor and an H to reduce in place).  A
+(solve_pencil asks it for the factor and an H to reduce in place).  A
 Pencil's factor is computed from its s by dpbtrf, and its h is copied: L
 has the lower bandwidth kd of S (the farthest nonzero subdiagonal), so the
 factorisation costs O(N kd^2).  The solver's own pencils (solver._pencil)
@@ -23,24 +23,23 @@ band solves against N right-hand sides, O(N^2 kd); a dense S is simply the
 kd = N - 1 case.
 
 A is then tridiagonalised once (dsytrd, Q^T A Q = T, 4N^3/3 flops), the
-one cubic step every request pays.  Three kinds of request follow it:
+one cubic step every dense solve pays, and dsterf gives every eigenvalue of
+T, O(N^2).  That is the one route from a dense pencil to its levels:
+lowest_eigenvalues takes the k lowest of them, so a level of lambda_scan or
+converge_in_n is the same float as bound_states' of the same basis.
+Eigenvectors, when asked for, are taken for the k levels below `below`
+only (every level by default): MRRR (dstemr) on T, the reflectors of Q
+applied to those k columns (dormqr, 2N^2 k) and L^{-T} to the same k
+columns, as LAPACK's own subset routines do, so a caller that inspects
+only the bound levels pays O(N^2 k) beyond the reduction instead of
+another two cubic steps.
 
-- every eigenvalue (solve_pencil): dsterf on T, O(N^2); a request for every
-  vector takes them from the MRRR call below;
-- eigenvectors for the k lowest levels asked for (solve_pencil with
-  `below`): MRRR (dstemr) on T, the reflectors of Q applied to those k
-  columns (dormqr, 2N^2 k) and L^{-T} to the same k columns, as LAPACK's
-  own subset drivers do, so a caller that inspects only the bound levels
-  pays O(N^2 k) beyond the reduction instead of another two cubic steps;
-- the k lowest eigenvalues only (lowest_eigenvalues): Sturm-sequence
-  bisection on T (dstebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967),
-  O(N k), with neither Q nor L^{-T} applied to anything.
-
-A fourth kind needs no reduction at all: the k lowest eigenvalues of a
-TridiagonalPencil, H = M - c S with M diagonal and S tridiagonal, which is
-the basis pencil of any potential whose matrix is diagonal (the Kratzer well
-at its natural basis index, a J-matrix pencil: Heller & Yamani, Phys. Rev. A
-9, 1201 (1974)).  With eps = E + c it reads M f = eps S f.  By Sylvester's
+A TridiagonalPencil needs no reduction at all, and lowest_eigenvalues
+solves it as it stands (solve_pencil does not take it).  It is H = M - c S
+with M diagonal and S tridiagonal, the basis pencil of any potential whose
+matrix is diagonal (the Kratzer well at its natural basis index, a J-matrix
+pencil: Heller & Yamani, Phys. Rev. A 9, 1201 (1974)).  With eps = E + c it
+reads M f = eps S f.  By Sylvester's
 law of inertia (S is positive definite, which the pencil checks with
 dpttrf) the number of negative eigenvalues of T(eps) = M - eps S is the
 number of levels below eps: a Sturm count, which dstebz with a value range
@@ -62,7 +61,7 @@ level that fails the certificate there is bisected to its last bits.  A
 failed guess thus costs only its own level.  Neither route forms a dense
 matrix or calls dsytrd.
 
-A fifth kind asks no eigenvalue at all: count_below, the number of levels
+A count asks no eigenvalue at all: count_below, the number of levels
 below sigma, which is the number of negative eigenvalues of H - sigma S
 (Sylvester again).  A dense pencil reads it from the block-diagonal D of
 the Bunch-Kaufman factorisation H - sigma S = L D L^T (dsytrf, N^3/3 flops;
@@ -70,6 +69,8 @@ Bunch & Kaufman, Math. Comp. 31, 1977), with no Cholesky factor, reduction
 or dsytrd; a TridiagonalPencil takes one Sturm count.
 """
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -277,20 +278,25 @@ def _reduce(c, h):
     return W.T
 
 
-def _tridiagonalize(p):
-    """Reduce the pencil to the standard tridiagonal problem.
+def solve_pencil(p, eigvecs=False, below=np.inf):
+    """Ascending eigenvalues of the pencil, optionally with eigenvectors.
 
-    The pencil supplies the band Cholesky factor c of S and an H the
-    reduction may overwrite (p._operands()).  Returns (c, QT, d, e, tau):
-    that factor, and the dsytrd output for A = L^{-1} H L^{-T}, Q^T A Q = T
-    with diagonal d and subdiagonal e, the reflectors of Q stored below the
-    subdiagonal of QT with their scalars tau.  Emits a warning when the squared ratio of the
-    largest to the smallest Cholesky pivot, a lower bound on the 2-norm
-    condition number of S, exceeds 1e12 (accuracy of the reduction
-    degrades); for the basis overlap it is (N+nu)/(nu+1), so it cannot
-    fire there: at N = 400 it reads 400 (nu = 0) and 134 (nu = 2) against a
-    condition number of 4.3e5 and 9.5e4.
+    With eigvecs, every eigenvalue is returned together with the
+    eigenvectors of those below `below` (all of them by default), as
+    ascending columns; there may be none.  They are S-orthonormal
+    (f_i^T S f_j = delta_ij).  The pencil supplies the band Cholesky factor
+    c of S and an H the reduction may overwrite (p._operands()).  Emits a
+    warning when the squared ratio of the largest to the smallest Cholesky
+    pivot, a lower bound on the 2-norm condition number of S, exceeds 1e12
+    (accuracy of the reduction degrades); for the basis overlap it is
+    (N+nu)/(nu+1), so it cannot fire there: at N = 400 it reads 400
+    (nu = 0) and 134 (nu = 2) against a condition number of 4.3e5 and
+    9.5e4.  A TridiagonalPencil is not taken: lowest_eigenvalues and
+    count_below serve it.
     """
+    if isinstance(p, TridiagonalPencil):
+        raise ValueError("solve_pencil takes a dense pencil; a TridiagonalPencil is solved "
+                         "by lowest_eigenvalues and counted by count_below")
     c, h = p._operands()
     piv = np.abs(c[0])
     if (piv.max() / piv.min()) ** 2 > _COND_WARN:
@@ -300,48 +306,28 @@ def _tridiagonalize(p):
             RuntimeWarning,
         )
     A = _reduce(c, h)
-    # Q^T A Q = T, tridiagonal (d, e), from the lower triangle of A
-    lwork, info = dsytrd_lwork(A.shape[0], lower=1)
+    # Q^T A Q = T, tridiagonal (d, e), from the lower triangle of A, with the
+    # reflectors of Q stored below the subdiagonal of QT and their scalars tau
+    N = A.shape[0]
+    lwork, info = dsytrd_lwork(N, lower=1)
     _check_converged(info, "dsytrd_lwork")
     QT, d, e, tau, info = dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
     _check_converged(info, "dsytrd")
-    return c, QT, d, e, tau
-
-
-def solve_pencil(p, eigvecs=False, below=np.inf):
-    """Ascending eigenvalues of the pencil, optionally with eigenvectors.
-
-    With eigvecs, every eigenvalue is returned together with the
-    eigenvectors of those below `below` (all of them by default), as
-    ascending columns; there may be none.  They are S-orthonormal
-    (f_i^T S f_j = delta_ij).  Emits a warning when the squared Cholesky
-    pivot ratio of S, a lower bound on its condition number, exceeds 1e12
-    (accuracy of the reduction degrades).
-    """
-    c, QT, d, e, tau = _tridiagonalize(p)
-    N = len(d)
-    if eigvecs and below == np.inf:
-        # every pair wanted: MRRR finds all eigenvalues with the vectors
-        w, Z = _mrrr(d, e, N)
+    if N == 1:
+        w = d
     else:
-        if N == 1:
-            w = d
-        else:
-            w, info = dsterf(d, e)
-            _check_converged(info, "dsterf")
-        if not eigvecs:
-            return w
-        k = int(np.searchsorted(w, below))
-        if k == 0:
-            # never handed to dtbtrs: zero right-hand sides corrupt its heap
-            return w, np.zeros((N, 0))
-        _, Z = _mrrr(d, e, k)
+        w, info = dsterf(d, e)
+        _check_converged(info, "dsterf")
+    if not eigvecs:
+        return w
+    k = int(np.searchsorted(w, below))
+    if k == 0:
+        # never handed to dtbtrs: zero right-hand sides corrupt its heap
+        return w, np.zeros((N, 0))
+    _, Z = _mrrr(d, e, k)
     return w, _band_solve(c, _apply_q(QT, tau, Z), trans="T")
 
 
-# dstebz's absolute tolerance: twice the smallest normal number is LAPACK's
-# choice for maximal accuracy (abstol = 0 stops at about eps |T| instead)
-_BISECT_TOL = 2 * np.finfo(float).tiny
 _HUGE = np.finfo(float).max
 _EPS = np.finfo(float).eps
 
@@ -530,32 +516,27 @@ def count_below(p, sigma):
     Where H - sigma S is exactly singular, the dense count leaves the level
     at sigma out and the Sturm count takes it in (dstebz counts a zero
     pivot as negative); a level within rounding of sigma can count either
-    way.
+    way.  sigma must be finite.
     """
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite, got %r" % (sigma,))
     if isinstance(p, TridiagonalPencil):
         return _sturm_count(p, sigma + p.shift)
     return _inertia(p._shifted(sigma))
 
 
 def lowest_eigenvalues(p, k, guess=None):
-    """The min(k, N) lowest eigenvalues of the pencil, ascending.
+    """The min(k, N) lowest eigenvalues of the pencil, ascending; k is an
+    integer >= 1.
 
-    No eigenvectors are formed.  A TridiagonalPencil is solved as it
-    stands, O(N) per Sturm count or Rayleigh-quotient step, and each level
-    with a guess (the ascending levels of a nearby pencil) is first sought
-    from it (see the module notes).  Any other pencil ignores guess: it is tridiagonalised once and its levels come
-    from Sturm-sequence bisection on T (dstebz), O(N k); it emits the same
-    warning as solve_pencil when the squared Cholesky pivot ratio of S, a
-    lower bound on its condition number, exceeds 1e12.
+    A TridiagonalPencil is solved as it stands, with no eigenvector formed,
+    O(N) per Sturm count or Rayleigh-quotient step, and each level with a
+    guess (the ascending levels of a nearby pencil) is first sought from it
+    (see the module notes).  Any other pencil ignores guess and takes the
+    lowest k of solve_pencil(p), bit for bit.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError("k must be an integer >= 1, got %r" % (k,))
     if isinstance(p, TridiagonalPencil):
         return _tridiagonal_lowest(p, min(k, len(p.m)), guess)
-    _, _, d, e, _ = _tridiagonalize(p)
-    N = len(d)
-    if N == 1:
-        return d
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, min(k, N), _BISECT_TOL, "E")
-    _check_converged(info, "dstebz")
-    return w[:min(m, k)]
+    return solve_pencil(p)[:k]

@@ -107,8 +107,10 @@ def _resolve(potential, basis):
 def _lowest(potential, basis, k, start=None):
     """The k lowest levels of the potential in the basis, for the drivers.
 
-    A diagonal potential matrix v makes the pencil tridiagonal: H0's bands
-    are c (2 s - S) with c = lam^2/8 and s the diagonal of S, so
+    A dense pencil takes the same solve as bound_states (eigen.solve_pencil),
+    so its levels are bound_states' energies[:k] bit for bit.  A diagonal
+    potential matrix v makes the pencil tridiagonal: H0's bands are
+    c (2 s - S) with c = lam^2/8 and s the diagonal of S, so
     H0 + diag(v) = diag(2 c s + v) - c S, and no dense matrix is formed.
     Such a pencil starts from the levels start of the previous solve, when
     given (eigen.lowest_eigenvalues); a dense pencil ignores it.
@@ -231,23 +233,14 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     tol_rel relative; ties go to the window starting at smaller lam.
     Absence of a plateau is a normal outcome, not an error.
 
-    Each grid point takes only the k lowest eigenvalues (no eigenvectors, no
-    truncation guard); for the Kratzer well at its natural index that is the
-    tridiagonal pencil, with no dense matrix.  The scan continues along the
-    grid: each tridiagonal solve starts from the levels of the point before
-    and takes one or two Rayleigh-quotient steps and two certifying Sturm
-    counts a level, isolating by Sturm counts only the levels where that
-    fails (eigen.lowest_eigenvalues).  A tridiagonal scan is therefore one
-    ordered run, whatever threads says.  With threads > 1 the points of a
-    dense pencil, which stay independent, are solved on a thread pool, but
-    scipy's LAPACK wrappers hold the GIL, so only the numpy part of the
-    solves overlaps.  On a 16-point Kratzer scan (B = 1, ell = 1, N = 400,
-    k = 3, the grid 1:8.5:0.5; x86_64, 2 vCPU, medians of 15, three rounds)
-    the continued scan takes 6-11 ms, against 11-14 ms serially and 15-17
-    ms on two threads when every point was solved cold, where the dense
-    scan at nu = 2|ell| took 126-150 ms serially.  The CLI scans serially.
-    The plateau search takes the running extremes of the traces from each
-    start: 0.2 ms here, against 2.1 ms with one spread per window.
+    Each grid point takes only the k lowest eigenvalues, with no truncation
+    guard.  A dense pencil's are bound_states' energies[:k] for the same
+    basis, bit for bit.  For the Kratzer well at its natural index the
+    pencil is tridiagonal, with no dense matrix, and the scan continues
+    along the grid: each solve starts from the levels of the point before
+    (eigen.lowest_eigenvalues), so a tridiagonal scan is one ordered run,
+    whatever threads says.  With threads > 1 the points of a dense pencil,
+    which stay independent, are solved on a thread pool.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 5:
@@ -296,6 +289,9 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
     Like lambda_scan, each tridiagonal solve starts from the levels of the
     size before.
     """
+    n_grid = tuple(n_grid)
+    if not all(isinstance(N, numbers.Integral) for N in n_grid):
+        raise ValueError("n_grid must hold integer basis sizes, got %r" % (n_grid,))
     n_grid = tuple(int(N) for N in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one basis size")

@@ -255,6 +255,31 @@ class TestLowestEigenvalues:
         with pytest.raises(ValueError):
             lowest_eigenvalues(_pencil(FAMILIES["kratzer"], BasisSpec(1.0, 1, 10)), 0)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_dense_levels_are_solve_pencil_bits(self, family, k):
+        # one route from a dense pencil to its levels
+        b = BasisSpec(1.5, 1, 10)
+        w = solve_pencil(_pencil(FAMILIES[family], b))
+        assert lowest_eigenvalues(_pencil(FAMILIES[family], b), k).tobytes() == w[:k].tobytes()
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_k_must_be_integer(self, k):
+        # a dense pencil took two levels for k = 2.5, a tridiagonal one raised
+        # numpy's TypeError
+        for p in (_random_pencil(10, 3), _kratzer_tridiagonal(1.0, 10)[0]):
+            with pytest.raises(ValueError, match="k must be an integer >= 1"):
+                lowest_eigenvalues(p, k)
+
+    def test_numpy_integer_k(self):
+        p = _kratzer_tridiagonal(1.0, 10)[0]
+        assert lowest_eigenvalues(p, np.int64(2)).tobytes() == lowest_eigenvalues(p, 2).tobytes()
+
+    def test_solve_pencil_rejects_tridiagonal_pencil(self):
+        # not an AttributeError on _operands
+        with pytest.raises(ValueError, match="lowest_eigenvalues.*count_below"):
+            solve_pencil(_kratzer_tridiagonal(1.0, 10)[0])
+
 
 def _longdouble_reduction(c, h):
     """L^{-1} H L^{-T} by two-sided forward substitution in longdouble, for
@@ -640,3 +665,17 @@ class TestCountBelow:
     def test_indefinite_overlap_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             count_below(Pencil(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])), 0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # a dense NaN count read 0 and the Sturm count raised dstebz's info 1
+        params = YukawaParams(strength=1.0, mu_re=0.3, mu_im=0.3, variant="cosine")
+        b = BasisSpec(1.0, 0, 20)
+        for p in (_zero_diagonal_pencil(7, 2), _pencil(params, b), _twin_pencil()):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                count_below(p, sigma)
+        # a rejected count leaves the basis pencil unconsumed
+        p = _pencil(params, b)
+        with pytest.raises(ValueError):
+            count_below(p, sigma)
+        assert count_below(p, -1e-12) == np.searchsorted(solve_pencil(_pencil(params, b)), -1e-12)

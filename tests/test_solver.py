@@ -616,19 +616,65 @@ class TestPaperIndexUnchanged:
         assert r.suspect == (5,)
 
     def test_lambda_scan(self):
-        report = lambda_scan(KRATZER_B1, BasisSpec(1.0, 1, 40, nu=2.0),
-                             np.arange(1.0, 3.01, 0.5), 2)
-        want = [[-0.13645460951178892, -0.05887439902797055],
-                [-0.13645483055835986, -0.058874470938752595],
-                [-0.13645488584562046, -0.05887448901473417],
-                [-0.136454906071412, -0.05887449563885198],
-                [-0.13645491523137118, -0.05887449849112636]]
+        # levels of solve_pencil's spectrum: each row is also bound_states'
+        basis = BasisSpec(1.0, 1, 40, nu=2.0)
+        grid = np.arange(1.0, 3.01, 0.5)
+        report = lambda_scan(KRATZER_B1, basis, grid, 2)
+        want = [[-0.13645460951179125, -0.05887439902797058],
+                [-0.13645483055835933, -0.05887447093875264],
+                [-0.1364548858456206, -0.058874489014734126],
+                [-0.13645490607141253, -0.058874495638852005],
+                [-0.13645491523137043, -0.05887449849112621]]
         assert report.traces.tolist() == want
+        for lam, row in zip(grid, want):
+            assert bound_states(KRATZER_B1, basis.with_lam(lam)).energies[:2].tolist() == row
 
     def test_converge_in_n(self):
-        table = converge_in_n(KratzerParams(1.0, 5.0), BasisSpec(0.3, 2, 20, nu=4.0),
-                              (20, 30, 40), 2)
-        want = [[-0.04081632653061081, -0.024691358024691388],
-                [-0.040816326530612214, -0.02469135802469121],
-                [-0.040816326530612325, -0.024691358024691697]]
+        p, basis = KratzerParams(1.0, 5.0), BasisSpec(0.3, 2, 20, nu=4.0)
+        table = converge_in_n(p, basis, (20, 30, 40), 2)
+        want = [[-0.04081632653061079, -0.024691358024691395],
+                [-0.040816326530612124, -0.024691358024691214],
+                [-0.04081632653061249, -0.024691358024691645]]
         assert table.traces.tolist() == want
+        for N, row in zip((20, 30, 40), want):
+            assert bound_states(p, basis.with_size(N)).energies[:2].tolist() == row
+
+
+class TestOneDenseRoute:
+    # a dense level of lambda_scan or converge_in_n is bound_states' level of
+    # the same basis, bit for bit: both take solve_pencil's spectrum
+    CASES = {
+        "cosine": (cos_yukawa(0.5), BasisSpec(1.0, 0, 100), np.arange(1.0, 3.01, 0.5), 2,
+                   (60, 80, 100)),
+        "classical": (YukawaParams(strength=1.0, mu_re=0.5, variant="classical"),
+                      BasisSpec(1.0, 1, 100), np.arange(1.0, 3.01, 0.5), 2, (60, 80, 100)),
+        "morse": (MORSE_WELL, BasisSpec(12.0, 1, 200), np.arange(11.0, 13.01, 0.5), 3,
+                  (120, 160, 200)),
+        "kratzer_paper_index": (KRATZER_B1, BasisSpec(1.0, 1, 40, nu=2.0),
+                                np.arange(1.0, 3.01, 0.5), 2, (20, 30, 40)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_lambda_scan_rows_are_bound_states(self, case):
+        p, basis, grid, k, _ = self.CASES[case]
+        report = lambda_scan(p, basis, grid, k)
+        for lam, row in zip(grid, report.traces):
+            assert row.tobytes() == bound_states(p, basis.with_lam(lam)).energies[:k].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_converge_in_n_rows_are_bound_states(self, case):
+        p, basis, _, k, sizes = self.CASES[case]
+        table = converge_in_n(p, basis, sizes, k)
+        for N, row in zip(sizes, table.traces):
+            assert row.tobytes() == bound_states(p, basis.with_size(N)).energies[:k].tobytes()
+
+    @pytest.mark.parametrize("sizes", [(20, 30.7), (20.0, 30), ("20",)])
+    def test_converge_in_n_sizes_must_be_integers(self, sizes):
+        # not run as (20, 30), silently
+        with pytest.raises(ValueError, match="n_grid must hold integer basis sizes"):
+            converge_in_n(KRATZER_B1, BasisSpec(1.0, 1, 20), sizes, 1)
+
+    def test_converge_in_n_numpy_sizes(self):
+        table = converge_in_n(KRATZER_B1, BasisSpec(1.0, 1, 20), np.arange(20, 41, 10), 1)
+        assert table.n_grid == (20, 30, 40)
+        assert all(type(N) is int for N in table.n_grid)
