@@ -292,11 +292,13 @@ def solve_pencil(p, eigvecs=False, below=np.inf):
     (N+nu)/(nu+1), so it cannot fire there: at N = 400 it reads 400
     (nu = 0) and 134 (nu = 2) against a condition number of 4.3e5 and
     9.5e4.  A TridiagonalPencil is not taken: lowest_eigenvalues and
-    count_below serve it.
+    count_below serve it.  below must not be NaN.
     """
     if isinstance(p, TridiagonalPencil):
         raise ValueError("solve_pencil takes a dense pencil; a TridiagonalPencil is solved "
                          "by lowest_eigenvalues and counted by count_below")
+    if math.isnan(below):
+        raise ValueError("below must not be NaN")
     c, h = p._operands()
     piv = np.abs(c[0])
     if (piv.max() / piv.min()) ** 2 > _COND_WARN:

@@ -26,10 +26,14 @@ V = -A lam C^ C^T.  Every term of that product is non-negative, so even in
 float64 each element has a relative error of at most about N eps (Higham,
 Accuracy and Stability of Numerical Algorithms, sec. 4.2), for large n, m
 and large screening alike, where the textbook hypergeometric form loses
-all precision.  An entry of C^ that underflows in float64 changes no
-element by more than ~1e-308.  That contract is elementwise (1e-14 for
-every element above 1e-200), so the classical well keeps every entry, and
-its dsyrk still forms products that underflow.
+all precision.  That contract is elementwise (1e-14 for every element
+above 1e-200), so the classical well keeps entries of C^ far below the
+exponential kernel's floor (below): C^ is floored at 2^-730 and scaled by
+2^219 (exactly), and the dsyrk alpha is -A lam 2^-438.  Every kept entry is
+then at least 2^-511, so every product the dsyrk forms is a normal float64
+(one that underflows costs about three times a normal one).  Rows of C^
+have norm <= 1, so the dropped entries move an element by at most
+2 sqrt(N) 2^-730 A lam, below 1e-217 A lam.
 
 The exponential kernel weighs its moments with one more power of x.  With
 L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is exp_matrix = B B^T, B = L_S C^',
@@ -38,12 +42,11 @@ closed-form bidiagonal factor of the overlap S = L_S L_S^T (at sigma = 1,
 C^' = I and the kernel is S); no gamma-function norms enter.  B has
 entries of both signs, so the kernel K = B B^T is accurate to about N eps
 relative to sqrt(K_nn K_mm), not elementwise (normwise; Higham, sec. 4.2).
-That contract leaves room for a floor: the entries of C^' below
-2^-511 are zeroed in longdouble before the cast, L_S (basis._overlap_factor)
-is applied in float64, and the entries of B below 2^-511 are zeroed again,
-for a row's two terms can cancel.  Every product of two kept entries is then
-at least 2^-1022, a normal float64, and dsyrk forms no product that
-underflows (those cost about three times a normal one).  Zeroing an entry
+That contract leaves room for a floor: C^' is built with its entries
+below 2^-511 zeroed, L_S (basis._overlap_factor) is applied in float64, and
+the entries of B below 2^-511 are zeroed again, for a row's two terms can
+cancel.  Every product of two kept entries is then at least 2^-1022, a
+normal float64, and dsyrk forms no product that underflows.  Zeroing an entry
 of C^' moves B by at most 2 sqrt(N+nu+1) 2^-511 (a row of L_S), and one of
 B by 2^-511; rows of B have norm sqrt(K_nn), so K_nm moves by at most
 (2 sqrt(N+nu+1) + 1) 2^-511 sqrt(N) (sqrt(K_nn) + sqrt(K_mm)).  At N = 400
@@ -51,10 +54,12 @@ on Table 3's kernels (smallest K_nn 0.037; 0.45 for the ell = 1 well) that
 is about 1e-150 of sqrt(K_nn K_mm).  Morse accumulates its two kernels into
 one lower triangle.
 
-Extended precision is used only in the O(N^2) build of C^, by exact ratio
-recurrences in longdouble, and in the Gauss table the cosine and sine wells
-build once per rule and size; every O(N^3) step is a float64 BLAS product
-(dsyrk, dtrmm).
+C^ is built in float64 from its closed form, whose three O(N) factors are
+running products taken in longdouble as mantissas and exponents
+(_normalized_connection).  Extended precision is used only there and in
+the Gauss table the cosine and sine wells build once per rule and size;
+every O(N^2) and O(N^3) step is float64, and no kernel forms a product
+below the normal float64 range.
 
 The Kratzer inverse-square matrix is rank one below the diagonal,
 (lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
@@ -78,6 +83,9 @@ over the weight x^nu e^{-s x} is V = C^ G C^T.  The Gauss rule for
 x^nu e^{-x} carries only the oscillation: G = Q1 diag(f) Q1^T, with Q1 the
 rule's orthonormal Laguerre table (quadrature._rule_table, built once per
 rule and size) and f the oscillating factor at the nodes divided by s.
+Both factors are floored at 2^-511, the table once when it is cached, and
+the table's columns enter the dsyrk pair scaled by 2^219 sqrt(|f|/(A lam)),
+with A lam 2^-438 in its alpha, so every product stays normal.
 The screening e^{-(s-1) x} leaves about
 (mu_im/mu_re) 40/pi zeros of the oscillation where the integrand matters,
 so one constant margin of nodes covers every mu_im <= mu_re; YukawaParams
@@ -88,11 +96,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsyrk, dtrmm
 
 from .basis import _overlap_factor
-from .quadrature import _rule_table, _signed_gram, _symmetrize, gauss_laguerre_rule
+from .quadrature import (_FLOOR, _FLOOR_EXP, _rule_table, _signed_gram, _symmetrize,
+                         gauss_laguerre_rule)
 
 __all__ = [
     "Potential",
@@ -267,26 +275,103 @@ class MorseParams(Potential):
 # shared kernels
 
 
-def _normalized_connection(N, nu, sigma):
-    """C^[n, j] = sigma^{-(nu+1)/2} C[n, j] sqrt(h_j/h_n) for j <= n, in longdouble.
+# factors a running product takes before its mantissas are renormalized: a
+# product of this many mantissas >= 1/2 is a normal number in any longdouble
+_RUN = 512
+# rows of C^T an O(N^2) pass works on at once: at N = 800 a tile is 800 KiB
+_TILE = 128
 
-    The diagonal is sigma^{-j-(nu+1)/2}, a cumulative product of 1/sigma
-    from sigma^{-(nu+1)/2} (one power, not one a row), and down each column
-    C^[n, j] = C^[n-1, j] ((sigma-1)/sigma) sqrt(n (n+nu)) / (n-j), so one
-    cumulative product along axis 0 builds it.
+
+def _running_products(X):
+    """The cumulative products along each row of the non-negative longdouble
+    X, as float64 mantissas in [1/2, 1) (0 for a zero product) and float64
+    exponents.
+
+    The mantissas of X are multiplied in longdouble, renormalized every
+    _RUN factors, and the exponents summed, so no partial product leaves the
+    range and each mantissa takes one rounding, in the cast.
+    """
+    m, e = np.frexp(X)
+    e = np.cumsum(e, axis=1, dtype=float)
+    carry = 0.0
+    for i in range(0, m.shape[1], _RUN):
+        run = m[:, i:i + _RUN]
+        if i:
+            run[:, 0] *= m[:, i - 1]
+        np.cumprod(run, axis=1, out=run)
+        run[...], d = np.frexp(run)
+        d = d + carry
+        e[:, i:i + _RUN] += d
+        carry = d[:, -1:]
+    return m.astype(float), e
+
+
+def _upper_toeplitz(t, pad):
+    """U[j, n] = t[n - j] for j <= n and pad below the diagonal: a strided
+    view, unit stride along each row, of t with len(t) - 1 pads in front."""
+    N = t.size
+    buf = np.full(2 * N - 1, pad)
+    buf[N - 1:] = t
+    # the view's (j, n) entry is buf[N-1 - j + n]
+    return np.ndarray((N, N), buf.dtype, buf, (N - 1) * buf.itemsize,
+                      (-buf.itemsize, buf.itemsize))
+
+
+def _normalized_connection(N, nu, sigma, shift=0):
+    """2^shift C^, C^[n, j] = sigma^{-(nu+1)/2} C[n, j] sqrt(h_j/h_n) for
+    j <= n, as a Fortran-ordered float64 array with every entry below
+    _FLOOR zeroed.
+
+    In closed form C^[n, j] = sigma^{-j-(nu+1)/2} (a_n/a_j) t_{n-j}, with
+    a_n = prod_{i<=n} sqrt(i (i+nu)) and t_k = ((sigma-1)/sigma)^k / k!.  The
+    row, column and Toeplitz factors are running products in longdouble
+    (_running_products); the O(N^2) work is float64, in place in the output
+    a tile of rows of C^T at a time: the sum of three exponents, one exp2,
+    the product with three mantissas in [1/2, 1) and the floor.  Powers of
+    two scale exactly, so the order of the products moves no bit.  The
+    exponents are clamped first: below at 64 binades under the
+    floor, for exp2 is slow far below the range and those entries are
+    zeroed anyway, and above at 3 + shift, for C^ <= 1 and the mantissa
+    product is at least 1/8, so only a zero mantissa (every t_k, k >= 1, at
+    sigma = 1) meets a larger sum.  Each kept entry is within about five
+    float64 roundings of the exact one.  The diagonal sigma^{-j-(nu+1)/2} is
+    a cumulative product of 1/sigma in longdouble, cast once, so at sigma = 1
+    it is exactly 2^shift.
     """
     s = np.longdouble(sigma)
-    k = np.arange(N, dtype=np.longdouble)
-    # 1/(n-j) below the diagonal, ones on and above it
-    R = toeplitz(np.r_[1, 1 / k[1:]], np.ones(N, np.longdouble))
-    np.multiply(R, ((s - 1) / s * np.sqrt(k * (k + nu)))[:, None], out=R,
-                where=np.tri(N, k=-1, dtype=bool))
+    k = np.arange(1, N, dtype=np.longdouble)
+    root = np.sqrt(k * (k + nu))
+    # rows: a_n, sigma^{-j-(nu+1)/2} / a_j and t_k, each as its running product
+    head = s ** (-(nu + 1) / 2)
+    X = np.empty((3, N), np.longdouble)
+    X[:, 0] = 1, head, 1
+    X[0, 1:] = root
+    X[1, 1:] = 1 / (s * root)
+    X[2, 1:] = (s - 1) / s / k
+    (m_row, m_col, m_t), (e_row, e_col, e_t) = _running_products(X)
+    # C^T, one tile of rows at a time: each pass reads and writes with unit
+    # stride, over the upper trapezoid only, in place in the output
+    lo = _FLOOR_EXP - 64
+    m_t, e_t = _upper_toeplitz(m_t, 0.0), _upper_toeplitz(e_t, lo)
+    e_col = e_col + shift
+    CT = np.zeros((N, N))
+    for j0 in range(0, N, _TILE):
+        j1 = min(j0 + _TILE, N)
+        tile = CT[j0:j1, j0:]
+        np.add(e_t[j0:j1, j0:], e_row[j0:], out=tile)
+        tile += e_col[j0:j1, None]
+        np.clip(tile, lo, 3 + shift, out=tile)
+        np.exp2(tile, out=tile)
+        tile *= m_t[j0:j1, j0:]
+        tile *= m_row[j0:]
+        tile *= m_col[j0:j1, None]
+        np.copyto(tile, 0, where=tile < _FLOOR)
     diag = np.full(N, 1 / s)
-    diag[0] = s ** (-(nu + 1) / 2)
-    R[np.diag_indices(N)] = np.cumprod(diag)
-    np.cumprod(R, axis=0, out=R)
-    np.copyto(R, 0, where=~np.tri(N, dtype=bool))  # the ones above the diagonal
-    return R
+    diag[0] = head
+    diag = (np.cumprod(diag) * np.longdouble(2) ** shift).astype(float)
+    diag[diag < _FLOOR] = 0
+    np.fill_diagonal(CT, diag)
+    return CT.T
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +382,22 @@ def _normalized_connection(N, nu, sigma):
 _GAUSS_MARGIN = 64
 
 
+# 2^_SHIFT scales the dsyrk operands of both Yukawa paths and 2^{-2 _SHIFT}
+# their alpha, which keeps every product normal (module notes)
+_SHIFT = 219
+
+
 def _yukawa_real_matrix(p, basis):
-    """-(A/r) e^{-mu_re r} = -A lam C^ C^T at real sigma = 1 + mu_re/lam."""
-    C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam)
+    """-(A/r) e^{-mu_re r} = -A lam C^ C^T at real sigma = 1 + mu_re/lam.
+
+    The factor is 2^_SHIFT C^ (exact) and the dsyrk alpha -A lam 2^{-2 _SHIFT},
+    so every product it forms is a normal float64."""
+    C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam, _SHIFT)
     # scipy's BLAS, not numpy's matmul: the pencil solve runs on scipy's LAPACK, and
     # switching between the two libraries' thread pools costs more than the product
-    # (about 7 ms per N=100 solve on two cores).  C.T is Fortran-ordered: no copy.
-    return _symmetrize(dsyrk(-p.strength * basis.lam, C.astype(float).T, trans=1, lower=1))
+    # (about 7 ms per N=100 solve on two cores).  C is Fortran-ordered: no copy.
+    alpha = -p.strength * basis.lam * 2.0 ** (-2 * _SHIFT)
+    return _symmetrize(dsyrk(alpha, C, lower=1))
 
 
 def _yukawa_gauss_matrix(p, basis):
@@ -316,26 +410,31 @@ def _yukawa_gauss_matrix(p, basis):
     normalized connection matrix at sigma = s, so the Gauss sum is
     C^ G C^T with G = Q1 diag(f(y/s)) Q1^T and Q1_ni = sqrt(w_i) p_n(y_i)
     the rule's cached table (quadrature._rule_table).  G is the signed
-    dsyrk pair on Q1 scaled by sqrt|f|, and C^ enters by two dtrmm.
-    |f| <= A lam and the rows of C^ have norm <= 1, so no term of the
-    float64 products exceeds A lam.
+    dsyrk pair on Q1 scaled by 2^_SHIFT sqrt|g|, with alpha
+    +-A lam 2^{-2 _SHIFT} and f = A lam g, and C^ enters by two dtrmm.
+    A kept entry of the floored table stays at least _FLOOR once scaled
+    wherever |g| >= 2^{-2 _SHIFT}: g is 0 or cos or sin of a phase that no
+    zero of theirs comes that close to, unless the phase itself is that
+    small (a sine well at mu_im/lam near 1e-130).  |f| <= A lam and the
+    rows of C^ have norm <= 1, so no term of the float64 products exceeds
+    A lam.
     """
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = 1.0 + p.mu_re / lam
     rule = gauss_laguerre_rule(N + _GAUSS_MARGIN, nu)
     phase = (p.mu_im / lam) * (rule.nodes / np.longdouble(s))
-    f = p.strength * lam * (np.sin(phase) if p.variant == "sine" else -np.cos(phase))
-    by_sign = np.argsort(f < 0, kind="stable")
-    n_pos = int(np.count_nonzero(f >= 0))
-    # the table's columns in sign order, each scaled by sqrt|f|: a C-ordered
-    # (nodes, N) array, whose transpose is the Fortran-ordered table dsyrk reads
+    g = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
+    by_sign = np.argsort(g < 0, kind="stable")
+    n_pos = int(np.count_nonzero(g >= 0))
+    # the table's columns in sign order, each scaled: a C-ordered (nodes, N)
+    # array, whose transpose is the Fortran-ordered table dsyrk reads
     T = _rule_table(rule, N).T[by_sign]
-    T *= np.sqrt(np.abs(f[by_sign])).astype(float)[:, None]
-    G = _signed_gram(T.T, n_pos)
-    # C^T as stored (upper triangular); C^ G, then (C^ G) C^T, in place
-    CT = _normalized_connection(N, nu, s).astype(float).T
-    V = dtrmm(1.0, CT, G, trans_a=1, overwrite_b=1)
-    V = dtrmm(1.0, CT, V, side=1, overwrite_b=1)
+    T *= (2.0 ** _SHIFT * np.sqrt(np.abs(g[by_sign]))).astype(float)[:, None]
+    G = _signed_gram(T.T, n_pos, p.strength * lam * 2.0 ** (-2 * _SHIFT))
+    # C^ G, then (C^ G) C^T, in place
+    C = _normalized_connection(N, nu, s)
+    V = dtrmm(1.0, C, G, lower=1, overwrite_b=1)
+    V = dtrmm(1.0, C, V, side=1, lower=1, trans_a=1, overwrite_b=1)
     return _symmetrize(V)
 
 
@@ -355,37 +454,36 @@ def yukawa_matrix(p, basis):
 # ---------------------------------------------------------------------------
 # exponential kernel and Morse
 
-# The kernels' floor: a product of two entries of at least 2^-511 is a
-# normal float64; the module docstring bounds what the dropped entries move
-_FLOOR = 2.0 ** -511
-
 
 def _exp_factor(c, basis):
-    """B with exp_matrix(c) = B B^T, as a float64 Fortran-ordered B^T.
+    """B with exp_matrix(c) = B B^T, float64 and Fortran-ordered.
 
-    B = L_S C^', C^' the normalized connection matrix at nu+1 and L_S the
-    overlap's closed-form bidiagonal factor (basis._overlap_factor).  C^' is
-    floored at _FLOOR while still in longdouble (the cast of an entry below
-    the float64 range is slow) and L_S applied in float64; B is floored
+    B = L_S C^', C^' the normalized connection matrix at nu+1 (floored at
+    _FLOOR) and L_S the overlap's closed-form bidiagonal factor
+    (basis._overlap_factor), applied in float64 in C^''s array.  B is floored
     again, since the two terms of a row can cancel.  Every product of two
     entries a dsyrk on B forms is then a normal float64.
     """
     N, nu = basis.size, basis.nu
-    C = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
-    np.copyto(C, 0, where=C < _FLOOR)  # C^' >= 0
-    C = C.astype(float)
-    L = _overlap_factor(N, nu)
-    B = C * L[0, :, None]
-    B[1:] += L[1, :-1, None] * C[:-1]
-    np.copyto(B, 0, where=np.abs(B) < _FLOOR)
-    return B.T
+    B = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
+    L0, L1 = _overlap_factor(N, nu)
+    # B[n, j] = L0[n] C^'[n, j] + L1[n-1] C^'[n-1, j], in place on B^T one
+    # tile of rows at a time; left of column j0 a tile of C^'^T is zero
+    BT = B.T
+    for j0 in range(0, N, _TILE):
+        tile = BT[j0:j0 + _TILE, j0:]
+        left = tile[:, :-1] * L1[j0:-1]
+        tile *= L0[j0:]
+        tile[:, 1:] += left
+        np.copyto(tile, 0, where=np.abs(tile) < _FLOOR)
+    return B
 
 
 def exp_matrix(c, basis):
     """Full matrix of <phi_n| e^{-c r} |phi_m>."""
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("exp_matrix requires a finite c >= 0, got c = %r" % (c,))
-    return _symmetrize(dsyrk(1.0, _exp_factor(c, basis), trans=1, lower=1))
+    return _symmetrize(dsyrk(1.0, _exp_factor(c, basis), lower=1))
 
 
 def morse_matrix(p, basis):
@@ -400,9 +498,9 @@ def morse_matrix(p, basis):
     about N eps relative to the two wells' Gram scales, not elementwise.
     """
     w = p.width
-    V = dsyrk(p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis), trans=1, lower=1)
+    V = dsyrk(p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis), lower=1)
     V = dsyrk(-2 * p.beta * p.depth * np.exp(w), _exp_factor(w / p.r_eq, basis),
-              beta=1.0, c=V, trans=1, lower=1, overwrite_c=1)
+              beta=1.0, c=V, lower=1, overwrite_c=1)
     return _symmetrize(V)
 
 

@@ -60,6 +60,11 @@ class QuadRule:
     log_weights: np.ndarray  # longdouble, ln(w_i); every w_i > 0
 
 
+# The assembly kernels' floor: a product of two entries of at least 2^-511
+# is a normal float64 (potentials' module notes bound what it drops)
+_FLOOR_EXP = -511
+_FLOOR = 2.0 ** _FLOOR_EXP
+
 # columns a mirror step copies; _UPPER masks a diagonal block's strict upper part
 _MIRROR_BLOCK = 64
 _UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
@@ -103,13 +108,13 @@ def _laguerre_table(N, nu, x, start):
     return Q
 
 
-def _signed_gram(Q, n_pos):
-    """Q+ Q+^T - Q- Q-^T, with Q+ the first n_pos columns of the float64
-    Fortran-ordered Q and Q- the rest: two dsyrk calls on column blocks, no
-    copy of the table.  Returns the full symmetric matrix."""
+def _signed_gram(Q, n_pos, scale=1.0):
+    """scale (Q+ Q+^T - Q- Q-^T), with Q+ the first n_pos columns of the
+    float64 Fortran-ordered Q and Q- the rest: two dsyrk calls on column
+    blocks, no copy of the table.  Returns the full symmetric matrix."""
     N = Q.shape[0]
     V = np.zeros((N, N), order="F")
-    for alpha, block in ((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:])):
+    for alpha, block in ((scale, Q[:, :n_pos]), (-scale, Q[:, n_pos:])):
         if block.shape[1]:
             # scipy's BLAS, as in potentials._yukawa_real_matrix
             V = dsyrk(alpha, block, beta=1.0, c=V, lower=1, overwrite_c=1)
@@ -189,7 +194,8 @@ def gauss_laguerre_rule(order, nu):
 
 def _rule_table(rule, N):
     """Q1_ni = sqrt(w_i) p_n(x_i) for n < N on the rule's own nodes, float64,
-    Fortran-ordered and read-only.
+    Fortran-ordered and read-only, with the entries below _FLOOR in size
+    zeroed.
 
     The table depends on nothing but (order, nu, N), so it is built once
     and kept in the rule cache under (order, nu bits, N): clearing the
@@ -202,6 +208,7 @@ def _rule_table(rule, N):
         return hit
     start = np.exp(0.5 * (rule.log_weights - math.lgamma(rule.nu + 1.0)))
     Q = _laguerre_table(N, rule.nu, np.asarray(rule.nodes, np.longdouble), start)
+    np.copyto(Q, 0, where=np.abs(Q) < _FLOOR)
     Q.flags.writeable = False
     with _rule_lock:
         _rule_cache[key] = Q

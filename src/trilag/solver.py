@@ -330,10 +330,11 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     A step is one assembly and one count.  For the cosine and sine wells
     the assembly reads the Gauss rule's cached Laguerre table, so only the
     first step of a bisection runs the extended-precision recurrence; every
-    step builds the connection matrix at its own screening and takes float64
-    BLAS products.  At N=100 (x86_64, 2 vCPU, one BLAS thread, medians of
-    200) a step takes about 0.9-1.3 ms, of which the assembly is 0.7-1.0 ms,
-    against 1.4-2.2 ms and 1.2-1.9 ms with the recurrence rerun each step.
+    step builds the connection matrix at its own screening, in float64, and
+    takes float64 BLAS products.  At N=100 (x86_64, 2 vCPU, one BLAS thread,
+    medians of 210) a step takes about 0.51 ms, of which the assembly is
+    0.40 ms, against 0.58 and 0.46 ms with the connection matrix built in
+    longdouble (same machine and session).
     """
     if not isinstance(p, YukawaParams):
         raise ValueError("critical_screening needs a screened Yukawa well (YukawaParams), "

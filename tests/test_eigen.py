@@ -181,6 +181,11 @@ class TestEigenvectorSubset:
             sign = np.sign(np.sum(F * F_all[:, :k], axis=0))
             np.testing.assert_allclose(F * sign, F_all[:, :k], rtol=0, atol=1e-10)
 
+    def test_nan_below_rejected(self):
+        # searchsorted puts NaN after every level: it returned a vector for each
+        with pytest.raises(ValueError, match="below must not be NaN"):
+            solve_pencil(Pencil(np.diag([1.0, 2.0, 3.0]), np.eye(3)), eigvecs=True, below=np.nan)
+
     def test_no_bound_level(self):
         # cosine screening delta = 9 binds nothing: no vector reaches the
         # back-transform, whose zero-column call would corrupt the heap
@@ -207,38 +212,51 @@ def _dense_pencil(params, b):
 
 
 class TestLowestEigenvalues:
-    # bisection on the tridiagonal T against dsterf's full spectrum of the
-    # same T (the solver's pencil is built afresh for each solve, since a
-    # solve reduces its H in place); the worst gap over these cases is
-    # 2.7 eps max|w|
+    # on a dense pencil the levels are solve_pencil's dsterf spectrum, bit
+    # for bit, at every size (the solver's pencil is built afresh for each
+    # solve, since a solve reduces its H in place); a tridiagonal pencil's
+    # levels are certified by Sturm counts
     @pytest.mark.parametrize("N", [1, 2, 100, 400])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_full_spectrum(self, family, N):
         b = BasisSpec(1.5, 1, N)
         w = solve_pencil(_pencil(FAMILIES[family], b))
-        tol = 8 * np.finfo(float).eps * np.abs(w).max()
         for k in sorted({1, 3, N}):
             low = lowest_eigenvalues(_pencil(FAMILIES[family], b), k)
             assert low.shape == (min(k, N),)
-            np.testing.assert_allclose(low, w[:k], rtol=0, atol=tol)
+            assert low.tobytes() == w[:k].tobytes()
 
     @pytest.mark.parametrize("lam", [5.0, 8.5])
     def test_bisection_resolves_small_levels(self, lam):
-        # at a large scale ||T|| ~ 6e5 while the levels are ~0.1: bisection
-        # stopped at eps ||T|| (abstol = 0) is 2e-11 to 4e-11 off here, at
-        # LAPACK's maximal-accuracy abstol within 6e-14 of dsterf
+        # at a large scale (||T|| ~ 6e5, levels ~0.1) the dense pencil's
+        # levels are still dsterf's bits
         b = BasisSpec(lam, 1, 400)
-        p = KratzerParams(coulomb=1.0, inverse_square=1.0)
-        np.testing.assert_allclose(lowest_eigenvalues(_pencil(p, b), 3),
-                                   solve_pencil(_pencil(p, b))[:3], rtol=0, atol=1e-12)
+        kratzer = KratzerParams(coulomb=1.0, inverse_square=1.0)
+        w = solve_pencil(_pencil(kratzer, b))
+        assert lowest_eigenvalues(_pencil(kratzer, b), 3).tobytes() == w[:3].tobytes()
+        # the tridiagonal pencil's diagonal is 1e5 times its lowest levels:
+        # each is still certified within 4 eps of itself, as counts on
+        # either side of E + shift show
+        p, _ = _kratzer_tridiagonal(lam, 400)
+        w = lowest_eigenvalues(p, 3)
+        assert np.abs(p.m).max() > 1e5 * np.abs(w).max()
+        for j, e in enumerate(w + p.shift):
+            delta = 4 * np.finfo(float).eps * abs(e)
+            assert eigen._sturm_count(p, e - delta) <= j < eigen._sturm_count(p, e + delta)
 
     @pytest.mark.parametrize("N", [1, 2, 30])
     def test_k_beyond_size_returns_every_level(self, N):
+        # both pencil kinds: every level, and no more, for k > N
         b = BasisSpec(1.0, 1, N)
         w = solve_pencil(_pencil(FAMILIES["kratzer"], b))
         low = lowest_eigenvalues(_pencil(FAMILIES["kratzer"], b), N + 5)
         assert low.shape == w[:N + 5].shape == (N,)
-        np.testing.assert_allclose(low, w, rtol=0, atol=8 * np.finfo(float).eps * np.abs(w).max())
+        assert low.tobytes() == w.tobytes()
+        p, _ = _kratzer_tridiagonal(1.0, N)
+        ref = sla.eigh(*_dense(p), eigvals_only=True)
+        low = lowest_eigenvalues(p, N + 5)
+        assert low.shape == (N,)
+        np.testing.assert_allclose(low, ref, rtol=0, atol=8 * np.finfo(float).eps * np.abs(ref).max())
 
     def test_dense_overlap(self):
         p = _random_pencil(50, 11)

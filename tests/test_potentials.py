@@ -1,8 +1,12 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 import trilag.potentials
 import trilag.quadrature
@@ -19,7 +23,7 @@ from trilag.potentials import (
     radial_function,
     yukawa_matrix,
 )
-from trilag.quadrature import _gauss_matrix, gauss_laguerre_rule, quad_potential_matrix
+from trilag.quadrature import _gauss_matrix, _rule_table, gauss_laguerre_rule, quad_potential_matrix
 from trilag.solver import critical_screening
 
 
@@ -110,6 +114,28 @@ def connection_reference(N, nu, sigma):
         rows = np.arange(d, N)
         C[rows, rows - d] = C[rows, rows - d + 1] * ((rows - d + nu + 1) * u / d)
     return C
+
+
+def normalized_connection_reference(N, nu, sigma):
+    """C^[n, j] = sigma^{-(nu+1)/2} C[n, j] sqrt(h_j/h_n) for j <= n, in longdouble, unfloored.
+
+    The diagonal is sigma^{-j-(nu+1)/2}, a cumulative product of 1/sigma
+    from sigma^{-(nu+1)/2}, and down each column
+    C^[n, j] = C^[n-1, j] ((sigma-1)/sigma) sqrt(n (n+nu)) / (n-j), so one
+    cumulative product along axis 0 builds it.
+    """
+    s = np.longdouble(sigma)
+    k = np.arange(N, dtype=np.longdouble)
+    # 1/(n-j) below the diagonal, ones on and above it
+    R = toeplitz(np.r_[1, 1 / k[1:]], np.ones(N, np.longdouble))
+    np.multiply(R, ((s - 1) / s * np.sqrt(k * (k + nu)))[:, None], out=R,
+                where=np.tri(N, k=-1, dtype=bool))
+    diag = np.full(N, 1 / s)
+    diag[0] = s ** (-(nu + 1) / 2)
+    R[np.diag_indices(N)] = np.cumprod(diag)
+    np.cumprod(R, axis=0, out=R)
+    np.copyto(R, 0, where=~np.tri(N, dtype=bool))  # the ones above the diagonal
+    return R
 
 
 def moment_norms(N, nu):
@@ -261,7 +287,7 @@ def longdouble_gauss(p, basis):
     prev = np.zeros_like(y)
     for n in range(N - 1):
         prev, Q[n + 1] = Q[n], ((2 * n + nu + 1 - y) * Q[n] - off[n] * prev) / off[n + 1]
-    C = trilag.potentials._normalized_connection(N, nu, s)
+    C = normalized_connection_reference(N, nu, s)
     return C @ ((Q * f) @ Q.T) @ C.T
 
 
@@ -413,17 +439,98 @@ def _unfloored_factor(c, basis):
     """B = L_S C^' combined in longdouble before one cast, with no floor: the
     factor the floored float64 one replaced."""
     N, nu = basis.size, basis.nu
-    C = trilag.potentials._normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
+    C = normalized_connection_reference(N, nu + 1, 1.0 + c / basis.lam)
     L = _overlap_factor(N, nu, np.longdouble)
     B = C * L[0, :, None]
     B[1:] += L[1, :-1, None] * C[:-1]
     return B
 
 
+class TestNormalizedConnection:
+    # the float64 C^ from three running products against the longdouble
+    # column recurrence: within five float64 roundings on every entry at or
+    # above the floor, and exactly 0 below it
+    FLOOR = 2.0 ** -511
+    SHIFT = trilag.potentials._SHIFT
+
+    def check(self, N, nu, sigma, shift=0):
+        ref = normalized_connection_reference(N, nu, sigma) * np.longdouble(2) ** shift
+        C = trilag.potentials._normalized_connection(N, nu, sigma, shift)
+        assert C.flags.f_contiguous
+        keep = ref >= self.FLOOR
+        assert not C[~keep].any()
+        assert float(np.max(np.abs(C[keep] - ref[keep]) / ref[keep])) <= 5e-16
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 200), st.floats(0.0, 10.0), st.floats(1.0, 20.0))
+    def test_matches_longdouble_reference(self, N, nu, sigma):
+        # shifted, the classical Yukawa's factor: C^ scaled by 2^219 and
+        # floored at 2^-730
+        self.check(N, nu, sigma)
+        self.check(N, nu, sigma, self.SHIFT)
+
+    @pytest.mark.parametrize("N", [600, 1100])
+    def test_products_renormalized_across_runs(self, N):
+        # past _RUN factors the running products carry their renormalized
+        # mantissa into the next run
+        assert N > trilag.potentials._RUN
+        self.check(N, 2.0, 1.05)
+
+    @pytest.mark.parametrize("nu", [0.0, 3.0])
+    def test_unit_sigma_is_identity(self, nu):
+        # at sigma = 1 every t_k, k >= 1, is 0 and the exponent sums below the
+        # diagonal reach thousands of binades: no NaN, no warning, exact ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = trilag.potentials._normalized_connection(400, nu, 1.0)
+            scaled = trilag.potentials._normalized_connection(400, nu, 1.0, self.SHIFT)
+        assert np.array_equal(C, np.eye(400))
+        assert np.array_equal(scaled, 2.0 ** self.SHIFT * np.eye(400))
+
+    def test_exp2_exact_on_clamped_range(self):
+        # the scaling is one exp2 of an integer-valued exponent, clamped to
+        # [_FLOOR_EXP - 64, 3 + _SHIFT]; a platform whose exp2 rounds there
+        # fails here
+        k = np.arange(trilag.potentials._FLOOR_EXP - 64, 3 + self.SHIFT + 1)
+        assert np.array_equal(np.exp2(k.astype(float)), np.ldexp(1.0, k))
+
+
 class TestKernelFloor:
     # every entry of a kernel factor is 0 or at least 2^-511 in size, so no
-    # product of two entries in the dsyrk underflows
+    # product of two entries in a dsyrk or dtrmm underflows
     FLOOR = 2.0 ** -511
+
+    def in_normal_range(self, a):
+        return ((a == 0) | (np.abs(a) >= self.FLOOR)).all()
+
+    def test_classical_and_gauss_operands_in_normal_range(self, monkeypatch):
+        operands = []
+
+        def spy(module, name):
+            blas = getattr(module, name)
+
+            def call(alpha, *arrays, **kwargs):
+                operands.extend(np.array(a) for a in arrays)
+                return blas(alpha, *arrays, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        spy(trilag.potentials, "dsyrk")
+        spy(trilag.potentials, "dtrmm")
+        spy(trilag.quadrature, "dsyrk")
+        b = BasisSpec(lam=1.0, ell=1, size=400)
+        yukawa_matrix(YukawaParams(1.0, 0.5), b)
+        assert len(operands) == 1
+        yukawa_matrix(YukawaParams(1.0, 0.5, 0.5, "cosine"), b)
+        # the signed dsyrk pair, then two dtrmm of C^ and G or C^ G
+        assert len(operands) == 7
+        for a in operands:
+            assert self.in_normal_range(a)
+        table = _rule_table(gauss_laguerre_rule(400 + trilag.potentials._GAUSS_MARGIN, 2.0), 400)
+        assert self.in_normal_range(table)
+        # the classical factor keeps entries below 2^-511, scaled by 2^219
+        ref = normalized_connection_reference(400, 2.0, 1.5)
+        assert ((ref >= 2.0 ** -730) & (ref < self.FLOOR)).any()
 
     def test_dsyrk_operands_in_normal_range(self, monkeypatch):
         operands = []
