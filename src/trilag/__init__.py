@@ -17,7 +17,6 @@ from .potentials import (
     MorseParams,
     Potential,
     YukawaParams,
-    exp_matrix,
     kratzer_matrix,
     morse_matrix,
     oracle_weight_nu,
@@ -53,7 +52,6 @@ __all__ = [
     "bound_states",
     "converge_in_n",
     "critical_screening",
-    "exp_matrix",
     "gauss_laguerre_rule",
     "h0_matrix",
     "kratzer_exact",

@@ -107,14 +107,22 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Hamiltonian/overlap pair defining H f = E S f."""
+    """Hamiltonian/overlap pair defining H f = E S f: finite, exactly
+    symmetric N x N matrices, N >= 1 (a solve reads each as symmetric)."""
 
     h: np.ndarray
     s: np.ndarray
 
     def __post_init__(self):
-        if self.h.shape != self.s.shape or self.h.ndim != 2:
+        if self.h.shape != self.s.shape or self.h.ndim != 2 or self.h.shape[0] != self.h.shape[1]:
             raise ValueError("pencil matrices must be square with equal shape")
+        if self.h.size == 0:
+            raise ValueError("a pencil needs at least one basis function, got 0 x 0 matrices")
+        for name, m in (("h", self.h), ("s", self.s)):
+            if not np.isfinite(m).all():
+                raise ValueError("pencil matrix %s must be finite" % name)
+            if not np.array_equal(m, m.T):
+                raise ValueError("pencil matrix %s must be symmetric" % name)
 
     def _operands(self):
         """The band Cholesky factor of s, and a copy of h for the reduction

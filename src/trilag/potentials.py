@@ -36,10 +36,11 @@ have norm <= 1, so the dropped entries move an element by at most
 2 sqrt(N) 2^-730 A lam, below 1e-217 A lam.
 
 The exponential kernel weighs its moments with one more power of x.  With
-L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is exp_matrix = B B^T, B = L_S C^',
-where C^' is the normalized connection matrix at nu+1 and L_S the
-closed-form bidiagonal factor of the overlap S = L_S L_S^T (at sigma = 1,
-C^' = I and the kernel is S); no gamma-function norms enter.  B has
+L_n^nu = L_n^{nu+1} - L_{n-1}^{nu+1} it is the Gram matrix K = B B^T of
+B = L_S C^' (_exp_factor), where C^' is the normalized connection matrix
+at nu+1 and L_S the closed-form bidiagonal factor of the overlap
+S = L_S L_S^T (at sigma = 1, C^' = I and the kernel is S); no
+gamma-function norms enter.  B has
 entries of both signs, so the kernel K = B B^T is accurate to about N eps
 relative to sqrt(K_nn K_mm), not elementwise (normwise; Higham, sec. 4.2).
 That contract leaves room for a floor: C^' is built with its entries
@@ -51,15 +52,15 @@ of C^' moves B by at most 2 sqrt(N+nu+1) 2^-511 (a row of L_S), and one of
 B by 2^-511; rows of B have norm sqrt(K_nn), so K_nm moves by at most
 (2 sqrt(N+nu+1) + 1) 2^-511 sqrt(N) (sqrt(K_nn) + sqrt(K_mm)).  At N = 400
 on Table 3's kernels (smallest K_nn 0.037; 0.45 for the ell = 1 well) that
-is about 1e-150 of sqrt(K_nn K_mm).  Morse accumulates its two kernels into
-one lower triangle.
+is about 1e-150 of sqrt(K_nn K_mm).  Morse is one Gram product over the
+factors of its two kernels.
 
 C^ is built in float64 from its closed form, whose three O(N) factors are
 running products taken in longdouble as mantissas and exponents
 (_normalized_connection).  Extended precision is used only there and in
 the Gauss table the cosine and sine wells build once per rule and size;
 every O(N^2) and O(N^3) step is float64, and no kernel forms a product
-below the normal float64 range.
+below the normal float64 range.  Every Gram product is quadrature._gram.
 
 The Kratzer inverse-square matrix is rank one below the diagonal,
 (lam^2 B / 2 nu) a_n/a_m for m <= n: one float64 outer product of two
@@ -78,14 +79,21 @@ by Gauss quadrature instead, the quadrature (Jacobi-matrix) form of the
 potential used in the J-matrix method (Heller & Yamani, Phys. Rev. A 9,
 1201 (1974)), with the two factors of the well split between two exact
 forms.  The real-sigma C^ at sigma = s = 1 + mu_re/lam carries the
-exponent: p_n(y/s) = s^{(nu+1)/2} sum_j C^[n,j] p_j(y), so the Gauss sum
-over the weight x^nu e^{-s x} is V = C^ G C^T.  The Gauss rule for
-x^nu e^{-x} carries only the oscillation: G = Q1 diag(f) Q1^T, with Q1 the
-rule's orthonormal Laguerre table (quadrature._rule_table, built once per
-rule and size) and f the oscillating factor at the nodes divided by s.
-Both factors are floored at 2^-511, the table once when it is cached, and
-the table's columns enter the dsyrk pair scaled by 2^219 sqrt(|f|/(A lam)),
-with A lam 2^-438 in its alpha, so every product stays normal.
+exponent: p_n(y/s) = s^{(nu+1)/2} sum_j C^[n,j] p_j(y).  The Gauss rule for
+x^nu e^{-x} carries only the oscillation, so the Gauss sum over the weight
+x^nu e^{-s x} is V = P diag(f) P^T with P = C^ Q1, Q1 the rule's
+orthonormal Laguerre table (quadrature._rule_table, built once per rule
+and size) and f the oscillating factor at the nodes divided by s.  P is
+one in-place dtrmm on a copy of the table whose columns are in the sign
+order of f and scaled by 2^219 sqrt(|f|/(A lam)), and V is the signed Gram
+pair on P with alpha +-A lam 2^-438.  C^ and the table are floored at
+2^-511, the table once when it is cached, so the dtrmm forms no subnormal
+product, and P is floored at 2^-511 again, so the dsyrk pair forms none.
+The rule is exact at degree 2N - 2, so Q1 Q1^T = I and the rows of C^ Q1
+have the norms of C^'s, at most 1: rows of P have norm at most 2^219, no
+term of the pair exceeds A lam, and zeroing P's entries below 2^-511
+moves an element by at most
+(2 sqrt(N + 64) 2^-730 + (N + 64) 2^-1460) A lam, below 1e-217 A lam.
 The screening e^{-(s-1) x} leaves about
 (mu_im/mu_re) 40/pi zeros of the oscillation where the integrand matters,
 so one constant margin of nodes covers every mu_im <= mu_re; YukawaParams
@@ -96,11 +104,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrmm
+from scipy.linalg.blas import dtrmm
 
 from .basis import _overlap_factor
-from .quadrature import (_FLOOR, _FLOOR_EXP, _rule_table, _signed_gram, _symmetrize,
-                         gauss_laguerre_rule)
+from .quadrature import _FLOOR, _FLOOR_EXP, _gram, _rule_table, _symmetrize, gauss_laguerre_rule
 
 __all__ = [
     "Potential",
@@ -108,7 +115,6 @@ __all__ = [
     "KratzerParams",
     "MorseParams",
     "yukawa_matrix",
-    "exp_matrix",
     "morse_matrix",
     "kratzer_matrix",
     "radial_function",
@@ -382,7 +388,7 @@ def _normalized_connection(N, nu, sigma, shift=0):
 _GAUSS_MARGIN = 64
 
 
-# 2^_SHIFT scales the dsyrk operands of both Yukawa paths and 2^{-2 _SHIFT}
+# 2^_SHIFT scales the Gram factors of both Yukawa paths and 2^{-2 _SHIFT}
 # their alpha, which keeps every product normal (module notes)
 _SHIFT = 219
 
@@ -393,31 +399,18 @@ def _yukawa_real_matrix(p, basis):
     The factor is 2^_SHIFT C^ (exact) and the dsyrk alpha -A lam 2^{-2 _SHIFT},
     so every product it forms is a normal float64."""
     C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam, _SHIFT)
-    # scipy's BLAS, not numpy's matmul: the pencil solve runs on scipy's LAPACK, and
-    # switching between the two libraries' thread pools costs more than the product
-    # (about 7 ms per N=100 solve on two cores).  C is Fortran-ordered: no copy.
-    alpha = -p.strength * basis.lam * 2.0 ** (-2 * _SHIFT)
-    return _symmetrize(dsyrk(alpha, C, lower=1))
+    return _gram((-p.strength * basis.lam * 2.0 ** (-2 * _SHIFT), C))
 
 
 def _yukawa_gauss_matrix(p, basis):
-    """Cosine or sine well at mu_im > 0 as V = C^ G C^T.
+    """Cosine or sine well at mu_im > 0 as V = P diag(f) P^T, P = C^ Q1
+    (module notes), with f = A lam g and g = -cos or sin of mu_im y/(s lam).
 
-    V_nm = int x^nu e^{-s x} p_n p_m f dx with p_n the orthonormal Laguerre
-    functions (sign of L_n^nu), s = 1 + mu_re/lam and f = x V(x/lam).  On
-    the rule for x^nu e^{-x} (nodes y_i, weights w_i), x = y/s and
-    p_n(y/s) = s^{(nu+1)/2} sum_j C^[n,j] p_j(y) with C^ the real-sigma
-    normalized connection matrix at sigma = s, so the Gauss sum is
-    C^ G C^T with G = Q1 diag(f(y/s)) Q1^T and Q1_ni = sqrt(w_i) p_n(y_i)
-    the rule's cached table (quadrature._rule_table).  G is the signed
-    dsyrk pair on Q1 scaled by 2^_SHIFT sqrt|g|, with alpha
-    +-A lam 2^{-2 _SHIFT} and f = A lam g, and C^ enters by two dtrmm.
-    A kept entry of the floored table stays at least _FLOOR once scaled
-    wherever |g| >= 2^{-2 _SHIFT}: g is 0 or cos or sin of a phase that no
-    zero of theirs comes that close to, unless the phase itself is that
-    small (a sine well at mu_im/lam near 1e-130).  |f| <= A lam and the
-    rows of C^ have norm <= 1, so no term of the float64 products exceeds
-    A lam.
+    A kept entry of the floored table stays at least _FLOOR once scaled by
+    2^_SHIFT sqrt|g| wherever |g| >= 2^{-2 _SHIFT}, so the dtrmm forms no
+    subnormal product: g is 0 or cos or sin of a phase that no zero of
+    theirs comes that close to, unless the phase itself is that small (a
+    sine well at mu_im/lam near 1e-130).
     """
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = 1.0 + p.mu_re / lam
@@ -427,15 +420,13 @@ def _yukawa_gauss_matrix(p, basis):
     by_sign = np.argsort(g < 0, kind="stable")
     n_pos = int(np.count_nonzero(g >= 0))
     # the table's columns in sign order, each scaled: a C-ordered (nodes, N)
-    # array, whose transpose is the Fortran-ordered table dsyrk reads
+    # array, whose transpose is the Fortran-ordered operand dtrmm overwrites
     T = _rule_table(rule, N).T[by_sign]
     T *= (2.0 ** _SHIFT * np.sqrt(np.abs(g[by_sign]))).astype(float)[:, None]
-    G = _signed_gram(T.T, n_pos, p.strength * lam * 2.0 ** (-2 * _SHIFT))
-    # C^ G, then (C^ G) C^T, in place
-    C = _normalized_connection(N, nu, s)
-    V = dtrmm(1.0, C, G, lower=1, overwrite_b=1)
-    V = dtrmm(1.0, C, V, side=1, lower=1, trans_a=1, overwrite_b=1)
-    return _symmetrize(V)
+    P = dtrmm(1.0, _normalized_connection(N, nu, s), T.T, lower=1, overwrite_b=1)
+    np.copyto(P, 0, where=(P > -_FLOOR) & (P < _FLOOR))
+    alpha = p.strength * lam * 2.0 ** (-2 * _SHIFT)
+    return _gram((alpha, P[:, :n_pos]), (-alpha, P[:, n_pos:]))
 
 
 def yukawa_matrix(p, basis):
@@ -456,13 +447,15 @@ def yukawa_matrix(p, basis):
 
 
 def _exp_factor(c, basis):
-    """B with exp_matrix(c) = B B^T, float64 and Fortran-ordered.
+    """B with <phi_n| e^{-c r} |phi_m> = (B B^T)[n, m], float64 and
+    Fortran-ordered.
 
     B = L_S C^', C^' the normalized connection matrix at nu+1 (floored at
     _FLOOR) and L_S the overlap's closed-form bidiagonal factor
     (basis._overlap_factor), applied in float64 in C^''s array.  B is floored
     again, since the two terms of a row can cancel.  Every product of two
-    entries a dsyrk on B forms is then a normal float64.
+    entries a dsyrk on B forms is then a normal float64.  c is a finite
+    c >= 0 (the Morse wells' 2w/r_eq and w/r_eq).
     """
     N, nu = basis.size, basis.nu
     B = _normalized_connection(N, nu + 1, 1.0 + c / basis.lam)
@@ -479,29 +472,20 @@ def _exp_factor(c, basis):
     return B
 
 
-def exp_matrix(c, basis):
-    """Full matrix of <phi_n| e^{-c r} |phi_m>."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError("exp_matrix requires a finite c >= 0, got c = %r" % (c,))
-    return _symmetrize(dsyrk(1.0, _exp_factor(c, basis), lower=1))
-
-
 def morse_matrix(p, basis):
     """Generalized Morse potential matrix.
 
     Composed directly from the two exponential kernels of the potential,
     depth e^{2w} exp(-2w r/r_eq) - 2 beta depth e^{w} exp(-w r/r_eq),
-    so the relative sign of the two wells cannot be misassembled; the
-    second dsyrk accumulates into the first one's lower triangle.  Both
-    factors are floored at _FLOOR (_exp_factor), so neither dsyrk forms a
-    product below the normal float64 range, and the matrix is accurate to
-    about N eps relative to the two wells' Gram scales, not elementwise.
+    so the relative sign of the two wells cannot be misassembled: one
+    Gram product over the two factors.  Both are floored at _FLOOR
+    (_exp_factor), so no product falls below the normal float64 range, and
+    the matrix is accurate to about N eps relative to the two wells' Gram
+    scales, not elementwise.
     """
     w = p.width
-    V = dsyrk(p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis), lower=1)
-    V = dsyrk(-2 * p.beta * p.depth * np.exp(w), _exp_factor(w / p.r_eq, basis),
-              beta=1.0, c=V, lower=1, overwrite_c=1)
-    return _symmetrize(V)
+    return _gram((p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis)),
+                 (-2 * p.beta * p.depth * np.exp(w), _exp_factor(w / p.r_eq, basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,18 @@ good to 3.6e-15 at order 450, 1.6e-15 at 850, 8.5e-15 at 1200 and 2.3e-14
 at 1700, and every weight is positive and nonzero there (the weights of
 L_{order+1} read 1.5e-12 at 450 and 2.4e-12 at 850).
 
-A rule assembles a potential matrix as the float64 BLAS product
+A rule assembles a potential matrix as one signed Gram product
 V = Q+ Q+^T - Q- Q-^T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q
-holding sqrt|f| times the orthonormal Laguerre functions at the nodes, built
-by the recurrence in extended precision (_laguerre_table) and split by the
-sign of the integrand factor f (_signed_gram).  The oracle
-quad_potential_matrix folds sqrt|f| into the recurrence's start
-(_gauss_matrix).  The cosine and sine Yukawa wells (potentials) read the
-rule's own table sqrt(w_i) p_n(x_i) instead, which depends on nothing but
-(order, nu, size) and is kept in the rule cache (_rule_table).
+holding sqrt|f| times the orthonormal Laguerre functions at the nodes, in
+the sign order of the integrand factor f.  The oracle quad_potential_matrix
+folds sqrt|f| into the start of the extended-precision recurrence
+(_laguerre_table, _gauss_matrix); the cosine and sine Yukawa wells
+(potentials) read the rule's own table sqrt(w_i) p_n(x_i), which depends on
+nothing but (order, nu, size) and is kept in the rule cache (_rule_table).
+Each table has its entries below 2^-511 zeroed, which moves the oracle's
+V_nm by at most 2^-511 sqrt(order) (|Q_n| + |Q_m|) + order 2^-1022, where
+|Q_n|^2 = sum_i w_i |f_i| p_n(x_i)^2; _gram, the package's one Gram
+kernel, then forms no subnormal product.
 """
 
 import math
@@ -61,7 +64,7 @@ class QuadRule:
 
 
 # The assembly kernels' floor: a product of two entries of at least 2^-511
-# is a normal float64 (potentials' module notes bound what it drops)
+# is a normal float64 (the module notes bound what it drops)
 _FLOOR_EXP = -511
 _FLOOR = 2.0 ** _FLOOR_EXP
 
@@ -94,7 +97,8 @@ def _laguerre_table(N, nu, x, start):
 
     p_n = sqrt(n!/Gamma(n+nu+1)) L_n^nu are the Laguerre polynomials
     orthonormal under x^nu e^{-x}; the recurrence runs in longdouble and
-    each row is cast as it is stored.
+    each row is cast as it is stored.  Entries below _FLOOR in size are
+    zeroed.
     """
     k = np.arange(N + 1, dtype=np.longdouble)
     off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
@@ -105,19 +109,23 @@ def _laguerre_table(N, nu, x, start):
         Q[n] = cur
         # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
         prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
+    np.copyto(Q, 0, where=(Q > -_FLOOR) & (Q < _FLOOR))
     return Q
 
 
-def _signed_gram(Q, n_pos, scale=1.0):
-    """scale (Q+ Q+^T - Q- Q-^T), with Q+ the first n_pos columns of the
-    float64 Fortran-ordered Q and Q- the rest: two dsyrk calls on column
-    blocks, no copy of the table.  Returns the full symmetric matrix."""
-    N = Q.shape[0]
-    V = np.zeros((N, N), order="F")
-    for alpha, block in ((scale, Q[:, :n_pos]), (-scale, Q[:, n_pos:])):
-        if block.shape[1]:
-            # scipy's BLAS, as in potentials._yukawa_real_matrix
-            V = dsyrk(alpha, block, beta=1.0, c=V, lower=1, overwrite_c=1)
+def _gram(*terms):
+    """sum_k alpha_k F_k F_k^T over the pairs (alpha_k, F_k), Fortran-ordered
+    float64 factors with one row count: one lower dsyrk a factor with
+    columns into one buffer, then one mirror.
+
+    scipy's BLAS, not numpy's matmul: the pencil solve runs on scipy's
+    LAPACK, and switching between the two thread pools costs more than the
+    product (about 7 ms per N=100 solve on two cores).
+    """
+    V = None
+    for alpha, F in terms:
+        if F.shape[1]:
+            V = dsyrk(alpha, F, beta=0.0 if V is None else 1.0, c=V, lower=1, overwrite_c=1)
     return _symmetrize(V)
 
 
@@ -127,13 +135,14 @@ def _gauss_matrix(N, nu, x, log_w, f):
     x, log_w (longdouble) and f are the nodes, log-weights and integrand
     factor of a rule for the weight x^nu e^{-x}.  The table
     Q_ni = sqrt(w_i |f_i|) p_n(x_i) (_laguerre_table) has the nodes where
-    f >= 0 first, so V = Q+ Q+^T - Q- Q-^T (_signed_gram), and no weighted
-    copy of the table is made.
+    f >= 0 first, so V = Q+ Q+^T - Q- Q-^T is one _gram on its two column
+    blocks, and no weighted copy of the table is made.
     """
     by_sign = np.argsort(f < 0, kind="stable")
     n_pos = int(np.count_nonzero(f >= 0))
     start = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - math.lgamma(nu + 1.0)))
-    return _signed_gram(_laguerre_table(N, nu, x[by_sign], start), n_pos)
+    Q = _laguerre_table(N, nu, x[by_sign], start)
+    return _gram((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:]))
 
 
 _rule_cache = {}
@@ -194,8 +203,7 @@ def gauss_laguerre_rule(order, nu):
 
 def _rule_table(rule, N):
     """Q1_ni = sqrt(w_i) p_n(x_i) for n < N on the rule's own nodes, float64,
-    Fortran-ordered and read-only, with the entries below _FLOOR in size
-    zeroed.
+    Fortran-ordered, read-only and floored (_laguerre_table).
 
     The table depends on nothing but (order, nu, N), so it is built once
     and kept in the rule cache under (order, nu bits, N): clearing the
@@ -208,7 +216,6 @@ def _rule_table(rule, N):
         return hit
     start = np.exp(0.5 * (rule.log_weights - math.lgamma(rule.nu + 1.0)))
     Q = _laguerre_table(N, rule.nu, np.asarray(rule.nodes, np.longdouble), start)
-    np.copyto(Q, 0, where=np.abs(Q) < _FLOOR)
     Q.flags.writeable = False
     with _rule_lock:
         _rule_cache[key] = Q

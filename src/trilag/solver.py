@@ -332,9 +332,8 @@ def critical_screening(p, ell, level, bracket, tol=1e-4, basis=None):
     first step of a bisection runs the extended-precision recurrence; every
     step builds the connection matrix at its own screening, in float64, and
     takes float64 BLAS products.  At N=100 (x86_64, 2 vCPU, one BLAS thread,
-    medians of 210) a step takes about 0.51 ms, of which the assembly is
-    0.40 ms, against 0.58 and 0.46 ms with the connection matrix built in
-    longdouble (same machine and session).
+    medians of 210) a step takes about 0.45 ms, of which the assembly is
+    0.34 ms.
     """
     if not isinstance(p, YukawaParams):
         raise ValueError("critical_screening needs a screened Yukawa well (YukawaParams), "

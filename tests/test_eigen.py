@@ -131,6 +131,34 @@ class TestSolvePencil:
         with pytest.raises(ValueError):
             Pencil(np.eye(3), np.eye(2))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            Pencil(np.ones((2, 3)), np.ones((2, 3)))
+
+    def test_empty_rejected(self):
+        # a 0 x 0 pencil failed in the band factor with an argmax of an empty sequence
+        with pytest.raises(ValueError, match="at least one basis function"):
+            Pencil(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["h", "s"])
+    def test_non_finite_rejected(self, which, bad):
+        # a NaN on the diagonal of h counted 0 levels below any sigma
+        b = BasisSpec(1.0, 0, 10)
+        h, s = h0_matrix(b), overlap_matrix(b)
+        (h if which == "h" else s)[3, 3] = bad
+        with pytest.raises(ValueError, match="%s must be finite" % which):
+            Pencil(h, s)
+
+    @pytest.mark.parametrize("which", ["h", "s"])
+    def test_asymmetric_rejected(self, which):
+        # solve_pencil read one triangle: h and h.T gave different spectra
+        b = BasisSpec(1.0, 0, 10)
+        h, s = h0_matrix(b), overlap_matrix(b)
+        (h if which == "h" else s)[7, 2] += 1e-3
+        with pytest.raises(ValueError, match="%s must be symmetric" % which):
+            Pencil(h, s)
+
     def test_indefinite_propagates(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_pencil(Pencil(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])))

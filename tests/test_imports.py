@@ -64,3 +64,10 @@ def test_benchmark_tracer_sees_each_family():
         assert ("potentials." + name, (family, 12)) in recorded
     metrics = tracer.layer_metrics(t.spans, 1, 0.0)
     assert all(metrics["potentials.%s_s" % f] > 0 for f in tracer.FAMILIES)
+
+
+def test_only_quadrature_binds_dsyrk():
+    # every Gram product is quadrature._gram, the one place that decides how
+    # a signed sum of dsyrk products is accumulated and mirrored
+    binders = [m for m in MODULES if hasattr(importlib.import_module(m), "dsyrk")]
+    assert binders == ["trilag.quadrature"]

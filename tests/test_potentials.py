@@ -16,15 +16,20 @@ from trilag.potentials import (
     KratzerParams,
     MorseParams,
     YukawaParams,
-    exp_matrix,
     kratzer_matrix,
     morse_matrix,
     oracle_weight_nu,
     radial_function,
     yukawa_matrix,
 )
-from trilag.quadrature import _gauss_matrix, _rule_table, gauss_laguerre_rule, quad_potential_matrix
+from trilag.quadrature import (_gauss_matrix, _gram, _rule_table, gauss_laguerre_rule,
+                               quad_potential_matrix)
 from trilag.solver import critical_screening
+
+
+def exp_kernel(c, basis):
+    """The matrix of e^{-c r} in the basis: the Gram matrix of its factor."""
+    return _gram((1.0, trilag.potentials._exp_factor(c, basis)))
 
 
 def oracle_deviation(analytic, params, basis, order=300):
@@ -273,7 +278,7 @@ def recurrence_form(p, basis):
 
 
 def longdouble_gauss(p, basis):
-    """The same Gauss sum as C^ G C^T with every product in longdouble."""
+    """The same Gauss sum as C^ (Q f Q^T) C^T with every product in longdouble."""
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = 1.0 + p.mu_re / lam
     rule = gauss_laguerre_rule(N + trilag.potentials._GAUSS_MARGIN, nu)
@@ -292,8 +297,8 @@ def longdouble_gauss(p, basis):
 
 
 class TestGaussAssembly:
-    # V = C^ G C^T on the rule's cached table, against the Gauss product the
-    # recurrence forms at the scaled nodes
+    # V = P diag(f) P^T with P = C^ Q1 on the rule's cached table, against
+    # the Gauss product the recurrence forms at the scaled nodes
 
     @pytest.mark.parametrize("variant", ["cosine", "sine"])
     @pytest.mark.parametrize("delta", [0.01, 0.32, 9.0])
@@ -378,29 +383,19 @@ class TestClassicalYukawa:
 class TestExpElement:
     def test_zero_exponent_is_overlap(self):
         b = BasisSpec(lam=1.3, ell=1, size=12)
-        np.testing.assert_allclose(exp_matrix(0.0, b), overlap_matrix(b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(exp_kernel(0.0, b), overlap_matrix(b), rtol=0, atol=1e-12)
 
     def test_ground_values(self):
         # (nu+1)/sigma^(nu+2) at sigma = 2
-        assert exp_matrix(1.0, BasisSpec(1.0, 0, 2))[0, 0] == pytest.approx(0.25, rel=1e-14)
-        assert exp_matrix(1.0, BasisSpec(1.0, 1, 2))[0, 0] == pytest.approx(3 / 2 ** 4, rel=1e-14)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            exp_matrix(-0.1, BasisSpec(1.0, 0, 2))
-
-    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
-    def test_non_finite_exponent_rejected(self, c):
-        # not a matrix of NaN
-        with pytest.raises(ValueError, match="finite c >= 0, got c = "):
-            exp_matrix(c, BasisSpec(1.0, 0, 2))
+        assert exp_kernel(1.0, BasisSpec(1.0, 0, 2))[0, 0] == pytest.approx(0.25, rel=1e-14)
+        assert exp_kernel(1.0, BasisSpec(1.0, 1, 2))[0, 0] == pytest.approx(3 / 2 ** 4, rel=1e-14)
 
     def test_element_matches_matrix(self):
         # an element does not depend on the basis size it is computed in
         b = BasisSpec(lam=2.0, ell=2, size=10)
-        M = exp_matrix(0.8, b)
+        M = exp_kernel(0.8, b)
         for n, m in [(0, 0), (3, 9), (7, 2)]:
-            small = exp_matrix(0.8, b.with_size(max(n, m) + 1))
+            small = exp_kernel(0.8, b.with_size(max(n, m) + 1))
             assert small[n, m] == pytest.approx(M[n, m], rel=1e-13)
 
 
@@ -426,7 +421,7 @@ class TestExpKernel:
         h = moment_norms(basis.size, basis.nu)
         ref = _exp_kernel_reference(c, basis) / np.sqrt(np.outer(h, h))
         d = np.sqrt(np.diag(ref))
-        return float(np.max(np.abs(exp_matrix(c, basis) - ref) / np.outer(d, d)))
+        return float(np.max(np.abs(exp_kernel(c, basis) - ref) / np.outer(d, d)))
 
     @pytest.mark.parametrize("N,c", [pytest.param(150, c, id=str(c)) for c in (0.3, 1.5, 4.0)]
                              + [pytest.param(400, 1.5, id="N400-1.5")])
@@ -503,29 +498,34 @@ class TestKernelFloor:
     def in_normal_range(self, a):
         return ((a == 0) | (np.abs(a) >= self.FLOOR)).all()
 
+    @staticmethod
+    def spy(monkeypatch, module, name, calls):
+        """Record the array operands of each call to module.name in calls."""
+        blas = getattr(module, name)
+
+        def call(alpha, *arrays, **kwargs):
+            calls.append((name, [np.array(a) for a in arrays]))
+            return blas(alpha, *arrays, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
     def test_classical_and_gauss_operands_in_normal_range(self, monkeypatch):
-        operands = []
-
-        def spy(module, name):
-            blas = getattr(module, name)
-
-            def call(alpha, *arrays, **kwargs):
-                operands.extend(np.array(a) for a in arrays)
-                return blas(alpha, *arrays, **kwargs)
-
-            monkeypatch.setattr(module, name, call)
-
-        spy(trilag.potentials, "dsyrk")
-        spy(trilag.potentials, "dtrmm")
-        spy(trilag.quadrature, "dsyrk")
+        calls = []
+        self.spy(monkeypatch, trilag.quadrature, "dsyrk", calls)
+        self.spy(monkeypatch, trilag.potentials, "dtrmm", calls)
         b = BasisSpec(lam=1.0, ell=1, size=400)
         yukawa_matrix(YukawaParams(1.0, 0.5), b)
-        assert len(operands) == 1
-        yukawa_matrix(YukawaParams(1.0, 0.5, 0.5, "cosine"), b)
-        # the signed dsyrk pair, then two dtrmm of C^ and G or C^ G
-        assert len(operands) == 7
-        for a in operands:
-            assert self.in_normal_range(a)
+        assert [(name, len(ops)) for name, ops in calls] == [("dsyrk", 1)]
+        # one dtrmm, of C^ on the scaled table, then the signed dsyrk pair on
+        # P = C^ T: no N x N G.  At delta = 9, P = C^ T has entries below
+        # 2^-511 that its floor drops
+        for delta in (0.5, 9.0):
+            del calls[1:]
+            yukawa_matrix(YukawaParams(1.0, delta, delta, "cosine"), b)
+            assert [(name, len(ops)) for name, ops in calls[1:]] == [
+                ("dtrmm", 2), ("dsyrk", 1), ("dsyrk", 1)]
+            assert calls[1][1][1].shape == (400, 400 + trilag.potentials._GAUSS_MARGIN)
+            assert all(self.in_normal_range(a) for _, ops in calls for a in ops)
         table = _rule_table(gauss_laguerre_rule(400 + trilag.potentials._GAUSS_MARGIN, 2.0), 400)
         assert self.in_normal_range(table)
         # the classical factor keeps entries below 2^-511, scaled by 2^219
@@ -533,24 +533,45 @@ class TestKernelFloor:
         assert ((ref >= 2.0 ** -730) & (ref < self.FLOOR)).any()
 
     def test_dsyrk_operands_in_normal_range(self, monkeypatch):
-        operands = []
-        dsyrk = trilag.potentials.dsyrk
-
-        def spy(alpha, a, **kwargs):
-            operands.append(np.array(a))
-            return dsyrk(alpha, a, **kwargs)
-
-        monkeypatch.setattr(trilag.potentials, "dsyrk", spy)
+        calls = []
+        self.spy(monkeypatch, trilag.quadrature, "dsyrk", calls)
         (ell, r0, width, depth), _ = next(row for row in TABLE3 if row[0][0] == 1)
         b = BasisSpec(lam=TABLE3_LAM, ell=ell, size=400)
         morse_matrix(MorseParams(depth=depth, r_eq=r0, width=width, beta=1.2), b)
-        exp_matrix(0.75, b)
-        assert len(operands) == 3
-        for a in operands:
-            assert ((a == 0) | (np.abs(a) >= self.FLOOR)).all()
+        exp_kernel(0.75, b)
+        assert len(calls) == 3
+        for _, (a,) in calls:
+            assert self.in_normal_range(a)
         # the unfloored factor has entries the floor drops
         B = _unfloored_factor(0.75, b)
         assert ((B != 0) & (np.abs(B) < self.FLOOR)).any()
+
+    # the validate cases of the benchmark's cli_gates workload, at its
+    # --limit 199 --order 450: (params, lam, ell)
+    ORACLE_CASES = {
+        "classical_d0.5": (YukawaParams(1.0, 0.5), 1.0, 0),
+        "classical_d2": (YukawaParams(1.0, 2.0), 1.0, 0),
+        "morse_l1": (MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.8), 6.0, 1),
+        "kratzer_B5_l2": (KratzerParams(coulomb=1.0, inverse_square=5.0), 1.0, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_oracle_operands_in_normal_range(self, case, monkeypatch):
+        p, lam, ell = self.ORACLE_CASES[case]
+        b = BasisSpec(lam=lam, ell=ell, size=200, nu=2.0 * ell)
+
+        def oracle_operands():
+            calls = []
+            with monkeypatch.context() as m:
+                self.spy(m, trilag.quadrature, "dsyrk", calls)
+                quad_potential_matrix(p.radial, b, order=450, weight_nu=p.oracle_nu(b))
+            return [a for _, ops in calls for a in ops]
+
+        operands = oracle_operands()
+        assert operands and all(self.in_normal_range(a) for a in operands)
+        # without the floor the table has entries below 2^-511
+        monkeypatch.setattr(trilag.quadrature, "_FLOOR", 0.0)
+        assert not all(self.in_normal_range(a) for a in oracle_operands())
 
     @pytest.mark.parametrize("c,lam", [(0.75, 12.0), (0.375, 12.0), (1.5, 1.0), (4.0, 1.0)])
     @pytest.mark.parametrize("ell", [0, 1, 5])
@@ -560,14 +581,14 @@ class TestKernelFloor:
         B = _unfloored_factor(c, b).astype(float)
         ref = B @ B.T
         d = np.sqrt(np.diag(ref))
-        assert float(np.max(np.abs(exp_matrix(c, b) - ref) / np.outer(d, d))) <= 1e-13
+        assert float(np.max(np.abs(exp_kernel(c, b) - ref) / np.outer(d, d))) <= 1e-13
 
 
 class TestMorse:
     def test_beta_zero_single_well(self):
         p = MorseParams(depth=-6.0, r_eq=4.0, width=1.5, beta=0.0)
         b = BasisSpec(lam=8.0, ell=0, size=20)
-        expected = -6.0 * math.exp(3.0) * exp_matrix(2 * 1.5 / 4.0, b)
+        expected = -6.0 * math.exp(3.0) * exp_kernel(2 * 1.5 / 4.0, b)
         np.testing.assert_allclose(morse_matrix(p, b), expected, rtol=1e-14)
 
     @pytest.mark.parametrize("ell,r0,width,depth,beta", [
@@ -707,7 +728,7 @@ ASSEMBLY_CASES = {
     "cosine": lambda b: yukawa_matrix(YukawaParams(1.0, 0.5, 0.5, "cosine"), b),
     "sine": lambda b: yukawa_matrix(YukawaParams(1.0, 0.5, 0.3, "sine"), b),
     "morse": lambda b: morse_matrix(MorseParams(-6.0, 4.0, 1.5, 0.8), b),
-    "exp": lambda b: exp_matrix(0.7, b),
+    "exp": lambda b: exp_kernel(0.7, b),
     "quad": lambda b: quad_potential_matrix(lambda r: -np.exp(-r) / (1.0 + r), b),
 }
 
