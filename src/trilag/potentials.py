@@ -399,7 +399,7 @@ def _yukawa_real_matrix(p, basis):
     The factor is 2^_SHIFT C^ (exact) and the dsyrk alpha -A lam 2^{-2 _SHIFT},
     so every product it forms is a normal float64."""
     C = _normalized_connection(basis.size, basis.nu, 1.0 + p.mu_re / basis.lam, _SHIFT)
-    return _gram((-p.strength * basis.lam * 2.0 ** (-2 * _SHIFT), C))
+    return _gram([(-p.strength * basis.lam * 2.0 ** (-2 * _SHIFT), C)])
 
 
 def _yukawa_gauss_matrix(p, basis):
@@ -415,7 +415,7 @@ def _yukawa_gauss_matrix(p, basis):
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = 1.0 + p.mu_re / lam
     rule = gauss_laguerre_rule(N + _GAUSS_MARGIN, nu)
-    phase = (p.mu_im / lam) * (rule.nodes / np.longdouble(s))
+    phase = (p.mu_im / lam) * (rule.nodes / s)
     g = np.sin(phase) if p.variant == "sine" else -np.cos(phase)
     by_sign = np.argsort(g < 0, kind="stable")
     n_pos = int(np.count_nonzero(g >= 0))
@@ -426,7 +426,7 @@ def _yukawa_gauss_matrix(p, basis):
     P = dtrmm(1.0, _normalized_connection(N, nu, s), T.T, lower=1, overwrite_b=1)
     np.copyto(P, 0, where=(P > -_FLOOR) & (P < _FLOOR))
     alpha = p.strength * lam * 2.0 ** (-2 * _SHIFT)
-    return _gram((alpha, P[:, :n_pos]), (-alpha, P[:, n_pos:]))
+    return _gram(((alpha, P[:, :n_pos]), (-alpha, P[:, n_pos:])))
 
 
 def yukawa_matrix(p, basis):
@@ -478,14 +478,14 @@ def morse_matrix(p, basis):
     Composed directly from the two exponential kernels of the potential,
     depth e^{2w} exp(-2w r/r_eq) - 2 beta depth e^{w} exp(-w r/r_eq),
     so the relative sign of the two wells cannot be misassembled: one
-    Gram product over the two factors.  Both are floored at _FLOOR
-    (_exp_factor), so no product falls below the normal float64 range, and
-    the matrix is accurate to about N eps relative to the two wells' Gram
-    scales, not elementwise.
+    Gram product over the two factors, built one at a time.  Both are
+    floored at _FLOOR (_exp_factor), so no product falls below the normal
+    float64 range, and the matrix is accurate to about N eps relative to the
+    two wells' Gram scales, not elementwise.
     """
-    w = p.width
-    return _gram((p.depth * np.exp(2 * w), _exp_factor(2 * w / p.r_eq, basis)),
-                 (-2 * p.beta * p.depth * np.exp(w), _exp_factor(w / p.r_eq, basis)))
+    w, r0 = p.width, p.r_eq
+    return _gram((alpha, _exp_factor(c, basis)) for alpha, c in (
+        (p.depth * np.exp(2 * w), 2 * w / r0), (-2 * p.beta * p.depth * np.exp(w), w / r0)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,16 @@ in log space: L' is carried across the Newton step by L'' from the
 Laguerre equation x L'' = (x-nu-1) L' - order L (an error second order in
 the step), and ln(Gamma(order+nu+1)/order!) is lgamma(nu+1) plus a
 longdouble sum of ln(1 + nu/k), so no second pass for L_{order+1} and no
-scipy.special.  The
-eigenvector-based weights would lose all relative accuracy for the tiny
-weights in the far tail.  Only the log-weights are stored, in extended
-precision.  Against a 40-digit reference at sampled nodes (nu = 0) they are
-good to 3.6e-15 at order 450, 1.6e-15 at 850, 8.5e-15 at 1200 and 2.3e-14
-at 1700, and every weight is positive and nonzero there (the weights of
-L_{order+1} read 1.5e-12 at 450 and 2.4e-12 at 850).
+scipy.special.  The eigenvector-based weights would lose all relative
+accuracy for the tiny weights in the far tail.  Against a 40-digit
+reference at sampled nodes (nu = 0) the log-weights are good to 3.6e-15 at
+order 450, 1.6e-15 at 850, 8.5e-15 at 1200 and 2.3e-14 at 1700, and every
+weight is positive and nonzero there (the weights of L_{order+1} read
+1.5e-12 at 450 and 2.4e-12 at 850).
+
+The polished nodes are kept in extended precision, the rule's only copy:
+a float64 one lies up to half an ulp from the node its weight belongs to,
+which would put the Morse oracle at order 450 3.9e-12 off, not 3.4e-13.
 
 A rule assembles a potential matrix as one signed Gram product
 V = Q+ Q+^T - Q- Q-^T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q
@@ -59,7 +62,7 @@ class QuadRule:
 
     order: int
     nu: float
-    nodes: np.ndarray        # float64, strictly increasing, > 0
+    nodes: np.ndarray        # longdouble, strictly increasing, > 0
     log_weights: np.ndarray  # longdouble, ln(w_i); every w_i > 0
 
 
@@ -113,10 +116,11 @@ def _laguerre_table(N, nu, x, start):
     return Q
 
 
-def _gram(*terms):
-    """sum_k alpha_k F_k F_k^T over the pairs (alpha_k, F_k), Fortran-ordered
-    float64 factors with one row count: one lower dsyrk a factor with
-    columns into one buffer, then one mirror.
+def _gram(terms):
+    """sum_k alpha_k F_k F_k^T over an iterable of pairs (alpha_k, F_k),
+    Fortran-ordered float64 factors with one row count: one lower dsyrk a
+    factor with columns into one buffer, then one mirror.  Each factor is
+    released after its dsyrk, so a generator of terms holds one at a time.
 
     scipy's BLAS, not numpy's matmul: the pencil solve runs on scipy's
     LAPACK, and switching between the two thread pools costs more than the
@@ -126,6 +130,7 @@ def _gram(*terms):
     for alpha, F in terms:
         if F.shape[1]:
             V = dsyrk(alpha, F, beta=0.0 if V is None else 1.0, c=V, lower=1, overwrite_c=1)
+        del F
     return _symmetrize(V)
 
 
@@ -142,7 +147,7 @@ def _gauss_matrix(N, nu, x, log_w, f):
     n_pos = int(np.count_nonzero(f >= 0))
     start = np.sqrt(np.abs(f[by_sign])) * np.exp(0.5 * (log_w[by_sign] - math.lgamma(nu + 1.0)))
     Q = _laguerre_table(N, nu, x[by_sign], start)
-    return _gram((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:]))
+    return _gram(((1.0, Q[:, :n_pos]), (-1.0, Q[:, n_pos:])))
 
 
 _rule_cache = {}
@@ -190,12 +195,7 @@ def gauss_laguerre_rule(order, nu):
         - 2 * np.log(np.abs(deriv))
         - 2 * expo * np.log(np.longdouble(2.0))
     )
-    rule = QuadRule(
-        order=int(order),
-        nu=float(nu),
-        nodes=x.astype(float),
-        log_weights=log_w,
-    )
+    rule = QuadRule(order=int(order), nu=float(nu), nodes=x, log_weights=log_w)
     with _rule_lock:
         _rule_cache[key] = rule
     return rule
@@ -215,7 +215,7 @@ def _rule_table(rule, N):
     if hit is not None:
         return hit
     start = np.exp(0.5 * (rule.log_weights - math.lgamma(rule.nu + 1.0)))
-    Q = _laguerre_table(N, rule.nu, np.asarray(rule.nodes, np.longdouble), start)
+    Q = _laguerre_table(N, rule.nu, rule.nodes, start)
     Q.flags.writeable = False
     with _rule_lock:
         _rule_cache[key] = Q
@@ -231,10 +231,10 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     origin, pass a lowered weight_nu so the singular factor is absorbed into
     the weight and the remaining integrand is smooth (e.g. weight_nu = nu - 1
     for a 1/r^2 term).  The basis norms turn the element integrand into
-    w_i x_i^{nu - weight_nu} f_i p_n(x_i) p_m(x_i), with f = x^{2 alpha - nu}
-    v(x/lam) and p_n the orthonormal Laguerre polynomials, so the matrix is
-    one Gauss product _gauss_matrix: O(order * size) recurrence steps in
-    extended precision and a float64 product of O(order * size^2 / 2).
+    w_i x_i^{nu - weight_nu} f_i p_n(x_i) p_m(x_i), with f = x v(x/lam)
+    (2 alpha - nu = 1) and p_n the orthonormal Laguerre polynomials, so the
+    matrix is one Gauss product _gauss_matrix: O(order * size) recurrence
+    steps in extended precision and a float64 product of O(order * size^2 / 2).
 
     The integrands are weight times an entire function, so the Gauss error
     decays geometrically.  The default order, at least 300, is the degree
@@ -248,13 +248,13 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     if weight_nu is None:
         weight_nu = nu
     rule = gauss_laguerre_rule(order, weight_nu)
-    x = np.asarray(rule.nodes, np.longdouble)
-    vals = np.asarray(v(x / np.longdouble(basis.lam)))
+    x = rule.nodes
+    vals = np.asarray(v(x / basis.lam))
     if not np.all(np.isfinite(vals.astype(float))):
         bad = int(np.argmin(np.isfinite(vals.astype(float))))
         raise ValueError(
             "potential evaluated non-finite at quadrature node x=%r (r=%r)"
-            % (rule.nodes[bad], rule.nodes[bad] / basis.lam)
+            % (float(x[bad]), float(x[bad] / basis.lam))
         )
-    f = x ** (2 * basis.alpha - nu) * vals
+    f = x * vals
     return _gauss_matrix(N, nu, x, rule.log_weights + (nu - weight_nu) * np.log(x), f)

@@ -188,7 +188,7 @@ class PlateauReport:
     """Eigenvalue traces over a lam grid with the detected stability window."""
 
     grid: np.ndarray
-    traces: np.ndarray           # shape (len(grid), k), k lowest eigenvalues
+    traces: np.ndarray           # shape (len(grid), min(k, N)), lowest eigenvalues
     plateau: Optional[tuple]     # (lam_lo, lam_hi) or None
     spread: Optional[np.ndarray] # per-level relative spread inside the plateau
     tol_rel: float
@@ -298,6 +298,8 @@ def converge_in_n(potential, basis, n_grid, k, tol=1e-12):
     _require_count(k)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
+    if k > n_grid[0]:
+        raise ValueError("k = %d levels exceed the smallest basis size %d" % (k, n_grid[0]))
     _require_tolerance("tol", tol)
     basis = _resolve(potential, basis)
     traces = _continued(potential, (basis.with_size(N) for N in n_grid), k)

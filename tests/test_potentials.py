@@ -1,6 +1,7 @@
 import math
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from trilag.solver import critical_screening
 
 def exp_kernel(c, basis):
     """The matrix of e^{-c r} in the basis: the Gram matrix of its factor."""
-    return _gram((1.0, trilag.potentials._exp_factor(c, basis)))
+    return _gram([(1.0, trilag.potentials._exp_factor(c, basis))])
 
 
 def oracle_deviation(analytic, params, basis, order=300):
@@ -282,8 +283,8 @@ def longdouble_gauss(p, basis):
     N, nu, lam = basis.size, basis.nu, basis.lam
     s = 1.0 + p.mu_re / lam
     rule = gauss_laguerre_rule(N + trilag.potentials._GAUSS_MARGIN, nu)
-    y = np.asarray(rule.nodes, np.longdouble)
-    phase = (p.mu_im / lam) * (y / np.longdouble(s))
+    y = rule.nodes
+    phase = (p.mu_im / lam) * (y / s)
     f = p.strength * lam * (np.sin(phase) if p.variant == "sine" else -np.cos(phase))
     Q = np.empty((N, y.size), np.longdouble)
     Q[0] = np.exp(0.5 * (rule.log_weights - math.lgamma(nu + 1.0)))
@@ -622,6 +623,21 @@ class TestMorse:
             d = np.sqrt(np.diag(K))
             scale = scale + abs(coeff) * np.outer(d, d)
         assert float(np.max(np.abs(morse_matrix(p, b) - ref) / scale)) <= 1e-14
+
+    def test_one_factor_at_a_time(self, monkeypatch):
+        # _gram releases each factor after its dsyrk, so the first well's
+        # factor is gone before the second one is built
+        build, built = trilag.potentials._exp_factor, []
+
+        def spy(c, basis):
+            assert all(ref() is None for ref in built)
+            B = build(c, basis)
+            built.append(weakref.ref(B))
+            return B
+
+        monkeypatch.setattr(trilag.potentials, "_exp_factor", spy)
+        morse_matrix(MorseParams(-6.0, 4.0, 1.5, 0.8), BasisSpec(lam=12.0, ell=1, size=100))
+        assert len(built) == 2
 
 
 def _kratzer_reference(p, basis):

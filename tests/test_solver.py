@@ -284,6 +284,13 @@ class TestConvergeInN:
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             converge_in_n(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50), (40, 50), 2, tol=tol)
 
+    @pytest.mark.parametrize("potential", [YukawaParams(1.0, 0.5), KratzerParams(1.0, 5.0)],
+                             ids=["dense", "tridiagonal"])
+    def test_k_above_smallest_size_rejected(self, potential):
+        # not numpy's "inhomogeneous shape" from rows of 3 and of 5 levels
+        with pytest.raises(ValueError, match="k = 5 levels exceed the smallest basis size 3"):
+            converge_in_n(potential, BasisSpec(1.0, 0, 3), (3, 10), 5)
+
     @pytest.mark.parametrize("k", [2.5, 0, -1, "2"])
     def test_k_must_be_integer_at_least_one(self, k):
         # not numpy's "'float' object cannot be interpreted as an integer"

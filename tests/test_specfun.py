@@ -64,7 +64,7 @@ class TestLaguerreSeq:
         # the orthonormal Laguerre table on a 25-node rule: sum_i w_i p_n p_m = delta_nm
         for nu in [0.0, 2.0, 4.0, 10.0]:
             rule = gauss_laguerre_rule(25, nu)
-            x = np.asarray(rule.nodes, np.longdouble)
+            x = rule.nodes
             G = _gauss_matrix(11, nu, x, rule.log_weights, np.ones(25))
             np.testing.assert_allclose(G, np.eye(11), rtol=0, atol=1e-12)
 

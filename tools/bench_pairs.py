@@ -11,9 +11,10 @@ For every seed from 1 to 10 and every workload in BENCHMARK.json the script
 runs `perfbench/run.py --trace 0` once on each side, at the run length
 BENCHMARK.json sets, and alternates which side goes first from one pair to
 the next.  The file it writes holds, per workload and end-to-end metric,
-every run on both sides, their medians and quartiles, and the number of
-pairs the change won (ties count for neither), plus the attempted and
-failed operation counts of each side.
+every run on both sides, their medians and quartiles, the number of
+pairs the change won (ties count for neither), the relative change of the
+median and whether a gain could be claimed, plus the attempted and failed
+operation counts of each side.
 """
 
 import argparse
@@ -59,23 +60,36 @@ def spread(values):
 def summarise(pairs, better):
     """Per-metric summary of a workload's (parent line, change line) pairs.
 
-    better maps each end-to-end metric to "lower" or "higher".
+    better maps each end-to-end metric to "lower" or "higher".  A gain in a
+    metric may be claimed (claim_met) when the change wins at least nine
+    tenths of the pairs, its median is better than the parent's by more
+    than the parent's q3 - q1, and no larger share of its operations fails.
+    median_change is the change's median relative to the parent's, None
+    where the parent's median is 0.
     """
     out = {"metrics": {}}
+    for side, i in (("parent", 0), ("change", 1)):
+        out[side] = {"attempted": sum(pair[i]["attempted"] for pair in pairs),
+                     "failed": sum(pair[i]["failed"] for pair in pairs)}
+    more_failed = (out["change"]["failed"] * out["parent"]["attempted"]
+                   > out["parent"]["failed"] * out["change"]["attempted"])
     for name, direction in better.items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        before, after = spread(parent), spread(change)
+        gain = sign * (before["median"] - after["median"])
         out["metrics"][name] = {
             "unit": pairs[0][0]["metrics"][name]["unit"], "better": direction,
-            "parent": dict(spread(parent), runs=parent),
-            "change": dict(spread(change), runs=change),
+            "parent": dict(before, runs=parent),
+            "change": dict(after, runs=change),
             "pair_wins": wins, "pairs": len(pairs),
+            "median_change": (after["median"] / before["median"] - 1
+                              if before["median"] else None),
+            "claim_met": (10 * wins >= 9 * len(pairs)
+                          and gain > before["q3"] - before["q1"] and not more_failed),
         }
-    for side, i in (("parent", 0), ("change", 1)):
-        out[side] = {"attempted": sum(pair[i]["attempted"] for pair in pairs),
-                     "failed": sum(pair[i]["failed"] for pair in pairs)}
     return out
 
 
