@@ -33,6 +33,7 @@ from .solver import (
     critical_screening,
     kratzer_exact,
     lambda_scan,
+    spectrum,
 )
 
 __version__ = "0.1.0"
@@ -63,5 +64,6 @@ __all__ = [
     "quad_potential_matrix",
     "radial_function",
     "solve_pencil",
+    "spectrum",
     "yukawa_matrix",
 ]

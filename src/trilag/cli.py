@@ -16,7 +16,7 @@ from . import _golden
 from .basis import BasisSpec
 from .potentials import KratzerParams, MorseParams, YukawaParams
 from .quadrature import quad_potential_matrix
-from .solver import bound_states, kratzer_exact, lambda_scan
+from .solver import bound_states, kratzer_exact, lambda_scan, spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,8 +135,11 @@ def _emit(cfg, command, lines):
     echo = "# " + " ".join(["command=" + command] + _pairs(cfg))
     text = "".join(line + "\n" for line in [echo] + lines)
     if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError("cannot write output file: %s" % e)
     else:
         sys.stdout.write(text)
 
@@ -182,7 +185,8 @@ def cmd_scan(cfg, args):
 
 # Each table's rows yield (cells, failed): the CSV cells of one golden level
 # and whether it lies beyond its tolerance.  A golden value is a binding
-# energy, -E.
+# energy, -E.  The levels come from spectrum, the floats solve prints, with
+# no eigenvector and no truncation guard.
 
 
 def _level_cells(energy, golden):
@@ -196,7 +200,7 @@ def _table1_rows():
     b = BasisSpec(lam=_golden.TABLE1_LAM, ell=0, size=_golden.TABLE1_N)
     for delta in sorted(_golden.TABLE1):
         p = YukawaParams(strength=1.0, mu_re=delta, mu_im=delta, variant="cosine")
-        energies = bound_states(p, b).energies
+        energies = spectrum(p, b)
         for lvl, g in enumerate(_golden.TABLE1[delta]):
             cells, diff = _level_cells(energies[lvl], g)
             yield [_fmt(delta), lvl] + cells, diff > _golden.TABLE1_TOL[delta]
@@ -206,7 +210,7 @@ def _table2_rows():
     for (B, ell) in sorted(_golden.TABLE2):
         p = KratzerParams(coulomb=1.0, inverse_square=B)
         b = BasisSpec(lam=_golden.TABLE2_LAM, ell=ell, size=_golden.TABLE2_N)
-        energies = bound_states(p, b).energies
+        energies = spectrum(p, b)
         for lvl, g in enumerate(_golden.TABLE2[(B, ell)]):
             cells, diff = _level_cells(energies[lvl], g)
             gap = abs(float(energies[lvl]) - kratzer_exact(1.0, B, ell, lvl))
@@ -218,7 +222,7 @@ def _table3_rows():
         b = BasisSpec(lam=_golden.TABLE3_LAM, ell=ell, size=_golden.TABLE3_N)
         for beta in sorted(by_beta):
             p = MorseParams(depth=V0, r_eq=r0, width=width, beta=beta)
-            energies = bound_states(p, b).energies
+            energies = spectrum(p, b)
             for lvl, g in enumerate(by_beta[beta]):
                 cells, diff = _level_cells(energies[lvl], g)
                 yield ([ell, _fmt(r0), _fmt(width), _fmt(V0), _fmt(beta), lvl] + cells,

@@ -10,6 +10,13 @@ index (Potential.natural_nu), and the result records the index used.  Where
 the potential's matrix is diagonal there (the Kratzer well), lambda_scan and
 converge_in_n hand the eigen layer the tridiagonal pencil H0 + V itself,
 and each of its solves starts from the levels of the solve before.
+
+bound_states takes eigenvectors for its bound levels, which only its
+truncation guard reads (MRRR on the tridiagonal form, the reflectors and
+L^{-T} applied to them).  spectrum is the same solve with none of that:
+its eigenvalues are bound_states' energies bit for bit, and a caller that
+prints levels alone, like `trilag table`, pays one reduction, one dsytrd
+and one dsterf.
 """
 
 import math
@@ -29,6 +36,7 @@ __all__ = [
     "PlateauReport",
     "ConvergenceTable",
     "bound_states",
+    "spectrum",
     "kratzer_exact",
     "lambda_scan",
     "converge_in_n",
@@ -170,6 +178,13 @@ def bound_states(potential, basis):
     )
 
 
+def spectrum(potential, basis):
+    """Ascending eigenvalues of H = H0 + V, with no eigenvector and no
+    truncation guard: bound_states(potential, basis).energies, bit for bit,
+    by the same solve (eigen.solve_pencil) at the same resolved index."""
+    return solve_pencil(_pencil(potential, _resolve(potential, basis)))
+
+
 def kratzer_exact(coulomb, b, ell, n):
     """Exact Kratzer level E_n = -coulomb^2 / (2 (n + 1/2 + sqrt(b + ell^2))^2)."""
     if not (math.isfinite(coulomb) and math.isfinite(b)):
@@ -188,7 +203,7 @@ class PlateauReport:
     """Eigenvalue traces over a lam grid with the detected stability window."""
 
     grid: np.ndarray
-    traces: np.ndarray           # shape (len(grid), min(k, N)), lowest eigenvalues
+    traces: np.ndarray           # shape (len(grid), k), lowest eigenvalues
     plateau: Optional[tuple]     # (lam_lo, lam_hi) or None
     spread: Optional[np.ndarray] # per-level relative spread inside the plateau
     tol_rel: float
@@ -248,6 +263,8 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
     if np.any(np.diff(grid) <= 0):
         raise ValueError("lam grid must be strictly ascending")
     _require_count(k)
+    if k > basis.size:
+        raise ValueError("k = %d levels exceed the basis size N = %d" % (k, basis.size))
     _require_tolerance("tol_rel", tol_rel)
 
     basis = _resolve(potential, basis)

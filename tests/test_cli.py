@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trilag import _golden
+from trilag import _golden, eigen, solver
 from trilag.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from trilag.solver import kratzer_exact
 
@@ -178,6 +178,12 @@ class TestScan:
         assert code == EXIT_OK
         assert "# plateau: [1, 5]" in out
 
+    def test_k_above_basis_size_is_config_error(self, capsys):
+        code, _, err = run(capsys, "scan", "--potential", "yukawa-cos", "--delta", "0.5",
+                           "--N", "3", "--k", "5", "--lambda-grid", "1:3:0.5")
+        assert code == EXIT_CONFIG
+        assert "k = 5 levels exceed the basis size N = 3" in err
+
     def test_small_grid_rejected(self, capsys):
         code, _, err = run(capsys, "scan", "--potential", "yukawa-cos", "--delta", "0.5",
                            "--lambda-grid", "1,2")
@@ -211,6 +217,25 @@ class TestTable:
         golden = sum(len(levels) for cells in _golden_cells(table_id) for levels in cells.values())
         assert len(lines) - 1 == golden
         assert all(len(l.split(",")) == len(header.split(",")) for l in lines[1:])
+
+    @pytest.mark.parametrize("table_id", ["1", "2", "3"])
+    def test_levels_need_no_eigenvectors(self, capsys, monkeypatch, table_id):
+        # the tables print levels only: neither MRRR eigenvectors, the
+        # reflectors applied to them nor the truncation guard may run
+        def fail(*args, **kwargs):
+            raise AssertionError("eigenvectors or the truncation guard were computed")
+
+        for module, name in ((eigen, "_mrrr"), (eigen, "_apply_q"), (solver, "_tail_fractions")):
+            monkeypatch.setattr(module, name, fail)
+        code, out, _ = run(capsys, "table", table_id)
+        assert code == EXIT_OK
+        assert "REGRESSION" not in out
+
+    def test_out_path_not_writable_is_config_error(self, capsys):
+        code, out, err = run(capsys, "table", "2", "--out", "/nonexistent/x.csv")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "cannot write output file" in err and "/nonexistent/x.csv" in err
 
     @pytest.mark.parametrize("table_id", ["1", "2", "3"])
     def test_regression_is_counted(self, capsys, monkeypatch, table_id):

@@ -6,8 +6,8 @@ the 2D Coulomb ground level -A^2 / (2 (|ell| + 1/2)^2), and so does every
 Ritz estimate of it.  The basis of size N is contained in the basis of
 size N + 50 at the same scale, so the lowest Ritz level cannot rise with N.
 
-lambda_scan and converge_in_n take a dense pencil's levels by the same route
-as bound_states, so their rows are its energies bit for bit.
+lambda_scan, converge_in_n and spectrum take a dense pencil's levels by the
+same route as bound_states, so their rows are its energies bit for bit.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from trilag.basis import BasisSpec
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
-from trilag.solver import bound_states, converge_in_n, lambda_scan
+from trilag.solver import bound_states, converge_in_n, lambda_scan, spectrum
 
 # the same level from two assemblies agrees to about 1e-12
 SLACK = 1e-10
@@ -81,3 +81,11 @@ def test_scan_and_size_rows_are_bound_states_levels(case):
     sizes = (basis.size, basis.size + 7)
     for N, row in zip(sizes, converge_in_n(p, basis, sizes, k).traces):
         assert row.tobytes() == bound_states(p, basis.with_size(N)).energies[:k].tobytes()
+    assert spectrum(p, basis).tobytes() == bound_states(p, basis).energies.tobytes()
+
+
+def test_spectrum_is_bound_states_energies_for_kratzer_at_natural_index():
+    # nu left out: both resolve the natural index 2 sqrt(ell^2 + B), where
+    # the potential matrix is diagonal but the solve is still dense
+    p, basis = KratzerParams(coulomb=1.0, inverse_square=5.0), BasisSpec(lam=1.0, ell=2, size=60)
+    assert spectrum(p, basis).tobytes() == bound_states(p, basis).energies.tobytes()

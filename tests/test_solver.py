@@ -164,6 +164,15 @@ class TestLambdaScan:
             lambda_scan(KratzerParams(1.0, 1.0), BasisSpec(1.0, 1, 50),
                         np.arange(1.0, 3.01, 0.5), 1, tol_rel=tol_rel)
 
+    @pytest.mark.parametrize("potential", [YukawaParams(1.0, 0.5), KratzerParams(1.0, 5.0)],
+                             ids=["dense", "tridiagonal"])
+    def test_k_above_basis_size_rejected(self, potential):
+        # not a (5, 3) traces array that silently holds fewer levels than asked
+        with pytest.raises(ValueError, match="k = 5 levels exceed the basis size N = 3"):
+            lambda_scan(potential, BasisSpec(1.0, 0, 3), [1, 1.5, 2, 2.5, 3], 5)
+        assert lambda_scan(potential, BasisSpec(1.0, 0, 3), [1, 1.5, 2, 2.5, 3], 3).traces.shape \
+            == (5, 3)
+
     def test_threads_deterministic(self):
         grid = np.arange(1.0, 3.01, 0.5)
         serial = lambda_scan(cos_yukawa(0.5), BasisSpec(1.0, 0, 60), grid, k=2)
