@@ -251,8 +251,10 @@ def cmd_table(cfg, args):
 
 
 def cmd_validate(cfg, args):
-    potential = _build_potential(cfg)
     limit = cfg["limit"]
+    if limit < 0:
+        raise ConfigError("--limit must be >= 0, got %d" % limit)
+    potential = _build_potential(cfg)
     # the paper's index nu = 2|ell|: there the matrix is the oracle's matrix of
     # the whole radial well, and the Kratzer 1/r^2 kernel stays under the check
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1, nu=2.0 * abs(cfg["ell"]))

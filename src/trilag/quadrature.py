@@ -23,7 +23,7 @@ weight is positive and nonzero there (the weights of L_{order+1} read
 
 The polished nodes are kept in extended precision, the rule's only copy:
 a float64 one lies up to half an ulp from the node its weight belongs to,
-which would put the Morse oracle at order 450 3.9e-12 off, not 3.4e-13.
+which would put the Morse oracle at order 450 3.7e-12 off, not 3.0e-13.
 
 A rule assembles a potential matrix as one signed Gram product
 V = Q+ Q+^T - Q- Q-^T (Heller & Yamani, Phys. Rev. A 9, 1201 (1974)), Q
@@ -33,6 +33,13 @@ folds sqrt|f| into the start of the extended-precision recurrence
 (_laguerre_table, _gauss_matrix); the cosine and sine Yukawa wells
 (potentials) read the rule's own table sqrt(w_i) p_n(x_i), which depends on
 nothing but (order, nu, size) and is kept in the rule cache (_rule_table).
+The oracle's rule has the weight x^rho e^{-x} with rho = weight_nu mod 1,
+the integer part of weight_nu staying in the integrand as a polynomial
+factor: at one order every integer weight_nu reads the rule at nu = 0,
+whose exactness degree 2 order - 1 is then shared with that factor
+(2 order - 1 - floor(weight_nu) for the rest of the integrand).  The wells'
+table must stay orthonormal under its rule (Q1 Q1^T = I), so it keeps the
+rule at the basis's own nu.
 Each table has its entries below 2^-511 zeroed, which moves the oracle's
 V_nm by at most 2^-511 sqrt(order) (|Q_n| + |Q_m|) + order 2^-1022, where
 |Q_n|^2 = sum_i w_i |f_i| p_n(x_i)^2; _gram, the package's one Gram
@@ -226,28 +233,39 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
     """Full size x size numerical potential matrix <phi_n| v |phi_m>.
 
     v is the radial potential r -> v(r).  The basis functions contribute
-    x^{2 alpha} e^{-x} L_n L_m; the rule carries weight x^{weight_nu} e^{-x}
-    (default nu).  For potentials with an integrable power singularity at the
-    origin, pass a lowered weight_nu so the singular factor is absorbed into
-    the weight and the remaining integrand is smooth (e.g. weight_nu = nu - 1
-    for a 1/r^2 term).  The basis norms turn the element integrand into
-    w_i x_i^{nu - weight_nu} f_i p_n(x_i) p_m(x_i), with f = x v(x/lam)
+    x^{2 alpha} e^{-x} L_n L_m, and weight_nu (default nu, finite and >= 0,
+    else ValueError) is the power of x the integrand's weight takes.  For
+    potentials with an integrable power singularity at the origin, pass a
+    lowered weight_nu so the singular factor is absorbed into the weight and
+    the remaining integrand is smooth (e.g. weight_nu = nu - 1 for a 1/r^2
+    term).  The rule itself has the weight x^rho e^{-x}, rho = weight_nu
+    mod 1: the integer part of weight_nu is a polynomial factor of the
+    integrand, so every integer weight_nu at one order reads one cached
+    rule.  The basis norms turn the element integrand into
+    w_i x_i^{nu - rho} f_i p_n(x_i) p_m(x_i), with f = x v(x/lam)
     (2 alpha - nu = 1) and p_n the orthonormal Laguerre polynomials, so the
     matrix is one Gauss product _gauss_matrix: O(order * size) recurrence
     steps in extended precision and a float64 product of O(order * size^2 / 2).
 
     The integrands are weight times an entire function, so the Gauss error
-    decays geometrically.  The default order, at least 300, is the degree
-    2 size - 2 of the last element's polynomial part plus a margin nu + 50
-    for slowly decaying exponents.  A potential that is not finite at some
-    node raises ValueError naming that node.
+    decays geometrically.  A rule of the given order integrates a polynomial
+    part of the integrand up to degree 2 order - 1 - floor(weight_nu)
+    exactly: floor(weight_nu) degrees go to the power its weight leaves to
+    the integrand.  The default order, at least 300, is the degree 2 size - 2
+    of the last element's polynomial part plus a margin nu + 50, whose nu
+    covers that power and whose 50 is for slowly decaying exponents.  A
+    potential that is not finite at some node raises ValueError naming that
+    node.
     """
     N, nu = basis.size, basis.nu
     if order is None:
         order = max(300, int(2 * N + nu + 48))
     if weight_nu is None:
         weight_nu = nu
-    rule = gauss_laguerre_rule(order, weight_nu)
+    # checked before the reduction: fmod(-1.0, 1.0) is -0.0, which a rule accepts
+    if not (math.isfinite(weight_nu) and weight_nu >= 0):
+        raise ValueError("weight exponent weight_nu must be finite and >= 0, got %r" % (weight_nu,))
+    rule = gauss_laguerre_rule(order, math.fmod(weight_nu, 1.0))
     x = rule.nodes
     vals = np.asarray(v(x / basis.lam))
     if not np.all(np.isfinite(vals.astype(float))):
@@ -257,4 +275,4 @@ def quad_potential_matrix(v, basis, order=None, weight_nu=None):
             % (float(x[bad]), float(x[bad] / basis.lam))
         )
     f = x * vals
-    return _gauss_matrix(N, nu, x, rule.log_weights + (nu - weight_nu) * np.log(x), f)
+    return _gauss_matrix(N, nu, x, rule.log_weights + (nu - rule.nu) * np.log(x), f)

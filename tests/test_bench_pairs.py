@@ -63,3 +63,29 @@ def test_median_change_of_zero_median():
 
 def test_spread_of_one_run():
     assert bench_pairs.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+
+
+NAMES = ["dense_spectra", "sweep", "cli_gates"]
+
+
+@pytest.mark.parametrize("argv,want", [
+    ([], NAMES),
+    (["--workload", "cli_gates"], ["cli_gates"]),
+    (["--workload", "cli_gates", "--workload", "dense_spectra", "--workload", "cli_gates"],
+     ["dense_spectra", "cli_gates"]),
+], ids=["default", "one", "repeated"])
+def test_workload_selection(argv, want):
+    args = bench_pairs.parse_args(["--parent", "HEAD", "--pr", "0"] + argv, NAMES)
+    assert args.workloads == want
+
+
+def test_unknown_workload_exits_before_git(monkeypatch, capsys):
+    def no_git(*args, **kwargs):
+        raise AssertionError("git called")
+
+    monkeypatch.setattr(bench_pairs, "git", no_git)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_git)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--pr", "0", "--workload", "no_such"])
+    assert exit_info.value.code == 2
+    assert "no_such" in capsys.readouterr().err

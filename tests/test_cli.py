@@ -276,8 +276,8 @@ class TestValidate:
     def test_full_block_at_rule_accuracy(self, capsys, args, bound):
         # the oracle's rule sets the deviation of the whole 200 x 200 block:
         # 5e-15 from its weights at nu = 0 (1.3e-12 from those of
-        # L_{order+1}); Morse reads 3.4e-13 and Kratzer 3.9e-15 on the
-        # longdouble nodes, 3.9e-12 and 5.2e-14 on a float64 copy of them
+        # L_{order+1}); Morse reads 3.0e-13 and Kratzer 3.5e-15 on the
+        # longdouble nodes, 3.7e-12 and 4.5e-14 on a float64 copy of them
         code, out, _ = run(capsys, "validate", "--potential", *args,
                            "--limit", "199", "--order", "450")
         assert code == EXIT_OK
@@ -291,6 +291,14 @@ class TestValidate:
         assert code == EXIT_OK
         row = [l for l in out.splitlines() if l and not l.startswith("#")][1]
         assert float(row.split(",")[0]) == 0.0
+
+    def test_negative_limit_is_config_error(self, capsys):
+        # named as the option the user gave, not as the basis size limit + 1
+        code, _, err = run(capsys, "validate", "--potential", "yukawa", "--delta", "0.5",
+                           "--limit", "-1")
+        assert code == EXIT_CONFIG
+        assert "--limit must be >= 0, got -1" in err
+        assert "basis size" not in err
 
     def test_morse_within_tolerance(self, capsys):
         code, _, _ = run(capsys, "validate", "--potential", "morse", "--V0", "-6",

@@ -189,10 +189,15 @@ class TestMatrixElement:
             quad_potential_matrix(lambda r: 1.0 / (r - r), basis, order=10)
 
 
-def longdouble_oracle(v, basis, rule, weight_nu):
+def oracle_rule(order, weight_nu):
+    """The rule quad_potential_matrix reads: weight x^{weight_nu mod 1} e^{-x}."""
+    return gauss_laguerre_rule(order, math.fmod(weight_nu, 1.0))
+
+
+def longdouble_oracle(v, basis, rule):
     """<phi_n| v |phi_m> as a longdouble product of the Laguerre table on the
     rule's nodes, scaled by the basis norms a_n = sqrt(lam n!/Gamma(n+nu+1)):
-    a_n a_m / lam sum_i w_i x_i^{2 alpha - weight_nu} v(x_i/lam) L_n(x_i) L_m(x_i)."""
+    a_n a_m / lam sum_i w_i x_i^{2 alpha - rule.nu} v(x_i/lam) L_n(x_i) L_m(x_i)."""
     N, nu = basis.size, basis.nu
     x = rule.nodes
     L = np.empty((N, x.size), np.longdouble)
@@ -204,7 +209,7 @@ def longdouble_oracle(v, basis, rule, weight_nu):
     n = np.arange(N)
     a = np.sqrt(basis.lam * np.exp(np.longdouble(gammaln(n + 1.0) - gammaln(n + nu + 1.0))))
     w = np.exp(rule.log_weights)
-    g = w * x ** (2 * basis.alpha - weight_nu) * v(x / np.longdouble(basis.lam))
+    g = w * x ** (2 * basis.alpha - rule.nu) * v(x / np.longdouble(basis.lam))
     return np.outer(a, a) / basis.lam * ((L * g) @ L.T)
 
 
@@ -225,10 +230,45 @@ class TestMatrixOracle:
         # compared in the validate metric.  The cosine well is assembled by the
         # same Gauss product, so this keeps its oracle independent of that code.
         v, weight_nu = params.radial, params.oracle_nu(basis)
-        rule = gauss_laguerre_rule(450, weight_nu)
-        ref = longdouble_oracle(v, basis, rule, weight_nu).astype(float)
+        ref = longdouble_oracle(v, basis, oracle_rule(450, weight_nu)).astype(float)
         got = quad_potential_matrix(v, basis, order=450, weight_nu=weight_nu)
         assert float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-2))) <= 1e-12
+
+    def test_one_rule_per_order_for_integer_weights(self, monkeypatch):
+        # the classical (weight x^0), Morse ell = 1 (x^2) and Kratzer ell = 2
+        # (x^3) oracles of one order read one cached rule, at nu = 0
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        for params, basis in [
+            (YukawaParams(1.0, 0.5), BasisSpec(1.0, 0, 20)),
+            (MorseParams(-6.0, 4.0, 1.5, 0.8), BasisSpec(6.0, 1, 20)),
+            (KratzerParams(1.0, 5.0), BasisSpec(1.0, 2, 20)),
+        ]:
+            quad_potential_matrix(params.radial, basis, order=450,
+                                  weight_nu=params.oracle_nu(basis))
+        assert list(quadrature._rule_cache) == [(450, (0.0).hex())]
+
+    def test_fractional_weight_reads_its_fractional_rule(self, monkeypatch):
+        # Kratzer at its natural index 2 sqrt(1 + 0.5): weight_nu = 1.449...,
+        # so the oracle reads the rule for x^0.449... e^{-x}
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        params = KratzerParams(1.0, 0.5)
+        basis = BasisSpec(1.0, 1, 100, nu=params.natural_nu(1))
+        weight_nu = params.oracle_nu(basis)
+        got = quad_potential_matrix(params.radial, basis, order=300, weight_nu=weight_nu)
+        rule = oracle_rule(300, weight_nu)
+        assert 0 < rule.nu < 1 and rule.nu == weight_nu - 1
+        assert list(quadrature._rule_cache) == [(300, rule.nu.hex())]
+        ref = longdouble_oracle(params.radial, basis, rule).astype(float)
+        assert float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-2))) <= 1e-12
+
+    @pytest.mark.parametrize("weight_nu", [-1.0, math.inf, math.nan])
+    def test_bad_weight_rejected(self, weight_nu):
+        # checked before the rule's fractional part is taken: fmod(-1, 1) is
+        # -0.0, which a rule would accept, and the oracle would integrate an
+        # unabsorbed 1/x singularity
+        basis = BasisSpec(lam=1.0, ell=0, size=5)
+        with pytest.raises(ValueError, match="weight_nu .* got %r" % weight_nu):
+            quad_potential_matrix(lambda r: -1.0 / r, basis, order=20, weight_nu=weight_nu)
 
     def test_default_order(self):
         # 2 N + nu + 48, at least 300: the rule the oracle builds by default

@@ -69,14 +69,28 @@ class TestLaguerreSeq:
             np.testing.assert_allclose(G, np.eye(11), rtol=0, atol=1e-12)
 
 
+def exact_order(n, nu):
+    """The fewest nodes on which the oracle integrates phi_n phi_m (m <= n)
+    exactly: its rule has the weight x^{nu mod 1} e^{-x}, so the integrand
+    x^{floor(nu)} x p_n p_m has degree 2n + 1 + floor(nu)."""
+    return n + 1 + math.ceil(math.floor(nu) / 2)
+
+
 class TestNormCoeff:
     # the basis norms a_n = sqrt(lam n!/Gamma(n+nu+1)) as the oracle applies
     # them: with v = 1 it integrates phi_n phi_m, which is the overlap
-    # (diagonal 2n+nu+1) only under these norms, exactly on n + 1 nodes
+    # (diagonal 2n+nu+1) only under these norms, exactly on exact_order nodes
 
     @pytest.mark.parametrize("n", [0, 1, 7, 50, 200])
     @pytest.mark.parametrize("nu", [0.0, 2.0, 10.0])
     def test_norm_identity(self, n, nu):
         basis = BasisSpec(lam=2.5, ell=int(nu) // 2, size=n + 1)
-        S = quad_potential_matrix(np.ones_like, basis, order=n + 1)
+        S = quad_potential_matrix(np.ones_like, basis, order=exact_order(n, nu))
         np.testing.assert_allclose(S, overlap_matrix(basis), rtol=0, atol=1e-13 * (2 * n + nu + 1))
+
+    @pytest.mark.parametrize("nu", [2.0, 10.0])
+    def test_one_node_fewer_is_not_exact(self, nu):
+        # the weight's integer power costs the rule floor(nu) degrees
+        basis = BasisSpec(lam=2.5, ell=int(nu) // 2, size=1)
+        S = quad_potential_matrix(np.ones_like, basis, order=exact_order(0, nu) - 1)
+        assert abs(S[0, 0] - overlap_matrix(basis)[0, 0]) > 0.1

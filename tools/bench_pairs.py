@@ -2,15 +2,17 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 7 [--workload NAME ...]
 
 The parent commit is exported with `git archive` into a temporary directory
 (under $TMPDIR), which is removed when the script ends; the change is this
 checkout's working tree.
-For every seed from 1 to 10 and every workload in BENCHMARK.json the script
+For every seed from 1 to 10 and every workload in BENCHMARK.json (or only
+those named by --workload, which may be given more than once) the script
 runs `perfbench/run.py --trace 0` once on each side, at the run length
 BENCHMARK.json sets, and alternates which side goes first from one pair to
-the next.  The file it writes holds, per workload and end-to-end metric,
+the next.  The file it writes names the workloads it ran
+(selected_workloads) and holds, per workload and end-to-end metric,
 every run on both sides, their medians and quartiles, the number of
 pairs the change won (ties count for neither), the relative change of the
 median and whether a gain could be claimed, plus the attempted and failed
@@ -93,14 +95,25 @@ def summarise(pairs, better):
     return out
 
 
-def main(argv=None):
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    workloads = [w["name"] for w in bench["workloads"]]
+def parse_args(argv, names):
+    """The command line, with args.workloads the chosen names in the order of
+    names (BENCHMARK.json's), every one of them when --workload is not given.
+    An unknown name exits with status 2."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent commit")
     ap.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    ap.add_argument("--workload", action="append", choices=names, dest="workloads",
+                    help="run only this workload (repeatable; default: every workload)")
     args = ap.parse_args(argv)
+    args.workloads = [w for w in names if w in (args.workloads or names)]
+    return args
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    args = parse_args(argv, [w["name"] for w in bench["workloads"]])
+    workloads = args.workloads
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
 
@@ -133,6 +146,7 @@ def main(argv=None):
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
         "seeds": list(SEEDS),
+        "selected_workloads": workloads,
         "first": "parent on even pair indices, change on odd",
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
