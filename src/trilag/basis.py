@@ -63,10 +63,6 @@ class BasisSpec:
         else:
             object.__setattr__(self, "nu", float(self.nu))
 
-    @property
-    def alpha(self):
-        return (self.nu + 1) / 2
-
     def _replace(self, **changes):
         # an index left out stays left out
         return replace(self, **{"nu": self.nu if self.nu_given else None, **changes})

@@ -8,6 +8,7 @@ truncation guard flags as suspect.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -258,9 +259,17 @@ def cmd_validate(cfg, args):
     # the paper's index nu = 2|ell|: there the matrix is the oracle's matrix of
     # the whole radial well, and the Kratzer 1/r^2 kernel stays under the check
     basis = BasisSpec(lam=cfg["lambda"], ell=cfg["ell"], size=limit + 1, nu=2.0 * abs(cfg["ell"]))
+    weight_nu = potential.oracle_nu(basis)
+    # the oracle is exact to degree 2 order - 1 - floor(weight_nu), and x p_n p_m has
+    # degree up to 2 limit + 1; a negative weight_nu is rejected further on
+    if weight_nu >= 0:
+        least = limit + 1 + math.ceil(math.floor(weight_nu) / 2)
+        if cfg["order"] < least:
+            raise ConfigError("--order must be >= %d for --limit %d, got %d: a lower order does "
+                              "not integrate the block's polynomial part exactly"
+                              % (least, limit, cfg["order"]))
     assembled = potential.matrix(basis)
-    oracle = quad_potential_matrix(potential.radial, basis, order=cfg["order"],
-                                   weight_nu=potential.oracle_nu(basis))
+    oracle = quad_potential_matrix(potential.radial, basis, order=cfg["order"], weight_nu=weight_nu)
     # |assembled - oracle| / max(|assembled|, 1e-2), in place: relative where the element
     # is appreciable, absolute (scaled to the same 1e-11 threshold) where it is tiny
     dev = np.abs(np.subtract(assembled, oracle, out=oracle), out=oracle)

@@ -4,22 +4,27 @@ The rule with weight x^nu e^{-x} starts from the float64 eigenvalues (no
 eigenvectors) of the symmetric Jacobi matrix of the Laguerre recurrence
 (Golub & Welsch, Math. Comp. 23, 1969).  That start is good to ~1e-12
 relative, so one extended-precision Newton step polishes the nodes to the
-~1e-15 floor at which the recurrence evaluates L_order; a second step only
-adds that noise.  The weights come from the same recurrence pass
-(specfun._laguerre_pair_scaled, overflow-scaled), as
+~1e-15 floor at which the recurrence evaluates p_order; a second step only
+adds that noise.  The build keeps the last two rows of the tables'
+recurrence (specfun._laguerre_rows, p_n orthonormal), started at node x at
+the exact power of two 2^-s, s = rint(x/(4 ln 2)): p_order is about e^{x/2},
+so every row stays within about e^{+-x/4} and none is rescaled.  Rules are
+finite through order 11000 at nu = 0 (largest node ~44000, longdouble
+reaching e^{+-11356}); a non-finite one raises ValueError.  The Newton step
+takes x p' = order p_order - sqrt(order (order+nu)) p_{order-1}, p' is
+carried across it by the Laguerre equation x p'' = (x-nu-1) p' - order p
+(an error second order in the step), and w = 1/(x p'^2):
 
-    w_i = Gamma(order+nu+1) / (order! x_i L'_order^nu(x_i)^2)
+    ln w_i = lgamma(nu+1) - ln x_i - 2 (ln|p~'_i| + s_i ln 2)
 
-in log space: L' is carried across the Newton step by L'' from the
-Laguerre equation x L'' = (x-nu-1) L' - order L (an error second order in
-the step), and ln(Gamma(order+nu+1)/order!) is lgamma(nu+1) plus a
-longdouble sum of ln(1 + nu/k), so no second pass for L_{order+1} and no
-scipy.special.  The eigenvector-based weights would lose all relative
-accuracy for the tiny weights in the far tail.  Against a 40-digit
-reference at sampled nodes (nu = 0) the log-weights are good to 3.6e-15 at
-order 450, 1.6e-15 at 850, 8.5e-15 at 1200 and 2.3e-14 at 1700, and every
-weight is positive and nonzero there (the weights of L_{order+1} read
-1.5e-12 at 450 and 2.4e-12 at 850).
+with p~' the derivative of the scaled rows: no pass for p_{order+1}, no
+scipy.special.  Eigenvector-based weights would lose all relative accuracy
+in the far tail.  Against a 40-digit reference at eleven nodes spread over
+the rule (nu = 0) the log-weights are good to 3.6e-15 at order 450, 5.8e-15
+at 850, 9.0e-15 at 1200 and 2.3e-14 at 1700, every weight positive (those
+of L_{order+1} read 1.5e-12 at 450).  At order 450, nu = 0.449 the smallest nodes are good
+to 7.6e-16 and the log-weights to 3.5e-15, as every recurrence coefficient
+is formed in longdouble (2n+nu+1 in float64 cost 6.3e-13 and 5.4e-12).
 
 The polished nodes are kept in extended precision, the rule's only copy:
 a float64 one lies up to half an ulp from the node its weight belongs to,
@@ -49,13 +54,14 @@ kernel, then forms no subnormal product.
 import math
 import numbers
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dsyrk
 
-from .specfun import _laguerre_pair_scaled
+from .specfun import _laguerre_rows
 
 __all__ = ["QuadRule", "gauss_laguerre_rule", "quad_potential_matrix"]
 
@@ -110,15 +116,9 @@ def _laguerre_table(N, nu, x, start):
     each row is cast as it is stored.  Entries below _FLOOR in size are
     zeroed.
     """
-    k = np.arange(N + 1, dtype=np.longdouble)
-    off = np.sqrt(k * (k + nu))  # off[n] = sqrt(n (n+nu)), the Jacobi off-diagonal
     Q = np.empty((N, x.size), order="F")
-    prev = np.zeros_like(x)
-    cur = start
-    for n in range(N):
-        Q[n] = cur
-        # off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}
-        prev, cur = cur, ((2 * n + nu + 1 - x) * cur - off[n] * prev) / off[n + 1]
+    for n, row in enumerate(_laguerre_rows(N, nu, x, start)):
+        Q[n] = row
     np.copyto(Q, 0, where=(Q > -_FLOOR) & (Q < _FLOOR))
     return Q
 
@@ -165,9 +165,10 @@ def gauss_laguerre_rule(order, nu):
     """Gauss rule of the given order for the weight x^nu e^{-x}.
 
     The float64 eigenvalues of the Jacobi matrix start one extended-precision
-    Newton step on L_order^nu; the weights are evaluated at the polished
-    nodes.  Results are cached per (order, nu) with nu keyed by its exact
-    bits; the cache is safe under concurrent lookup.
+    Newton step on p_order; the weights are evaluated at the polished
+    nodes.  A rule that comes out non-finite (order above about 11000)
+    raises ValueError.  Results are cached per (order, nu) with nu keyed by
+    its exact bits; the cache is safe under concurrent lookup.
     """
     if not isinstance(order, numbers.Integral) or order < 1:
         raise ValueError("quadrature order must be an integer >= 1, got %r" % (order,))
@@ -182,26 +183,20 @@ def gauss_laguerre_rule(order, nu):
     i = np.arange(order)
     x = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), eigvals_only=True)
     x = x.astype(np.longdouble)
-    lprev, lcur, expo = _laguerre_pair_scaled(order, nu, x)
-    # L' = (order L_order - (order+nu) L_{order-1}) / x, and L'' from the
-    # Laguerre equation x L'' = (x-nu-1) L' - order L
-    d1 = (order * lcur - (order + nu) * lprev) / x
-    d2 = ((x - nu - 1) * d1 - order * lcur) / x
-    step = lcur / d1
+    # rows from 2^-s, and x p' and x p'' as in the module notes
+    s = np.rint(x / (4 * math.log(2))).astype(int)
+    prev, cur = deque(_laguerre_rows(order + 1, nu, x, np.ldexp(np.ones_like(x), -s)), maxlen=2)
+    d1 = (order * cur - np.sqrt(order * (order + np.longdouble(nu))) * prev) / x
+    d2 = ((x - nu - 1) * d1 - order * cur) / x
+    step = cur / d1
     x = x - step
-    # L' at the polished node, with an error second order in the step
-    # (~1e-24 relative; an L''' term would move no log-weight)
+    # p' at the polished node, with an error second order in the step
+    # (~1e-24 relative; a p''' term would move no log-weight)
     deriv = d1 - step * d2
-    # ln(Gamma(order+nu+1)/order!) = lgamma(nu+1) + sum_k ln(1 + nu/k);
     # _gauss_matrix and _rule_table subtract the same lgamma(nu+1)
-    k = np.arange(1, order + 1, dtype=np.longdouble)
-    log_w = (
-        math.lgamma(nu + 1.0)
-        + np.sum(np.log1p(nu / k))
-        - np.log(x)
-        - 2 * np.log(np.abs(deriv))
-        - 2 * expo * np.log(np.longdouble(2.0))
-    )
+    log_w = math.lgamma(nu + 1.0) - np.log(x) - 2 * (np.log(np.abs(deriv)) + s * np.log(np.longdouble(2)))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(log_w))):
+        raise ValueError("Gauss-Laguerre rule of order %d at nu = %r is not finite" % (order, nu))
     rule = QuadRule(order=int(order), nu=float(nu), nodes=x, log_weights=log_w)
     with _rule_lock:
         _rule_cache[key] = rule

@@ -1,40 +1,32 @@
-"""The Laguerre recurrence behind the Gauss-Laguerre rule.
+"""The Laguerre recurrence behind the Gauss layer.
 
-One private kernel: the upward three-term recurrence of the generalized
-Laguerre polynomials in extended precision, renormalized so that values far
-beyond the longdouble range stay representable.  quadrature.gauss_laguerre_rule
-evaluates L_{order-1}^nu and L_order^nu at its nodes with it, once, for the
-Newton step and for the weights.
+One private kernel: the upward three-term recurrence of the Laguerre
+polynomials p_n = sqrt(n!/Gamma(n+nu+1)) L_n^nu, orthonormal under
+x^nu e^{-x}, run in extended precision with every coefficient formed in
+longdouble.  quadrature._laguerre_table stores its rows (the oracle and the
+Gauss-assembled wells); quadrature.gauss_laguerre_rule keeps only its last
+two rows, started at an exact power of two so that no row leaves the
+longdouble range, for the Newton step and for the weights.  No row is
+rescaled on the way.
 """
 
 import numpy as np
 
 
-# steps between overflow tests in _laguerre_pair_scaled: a step grows the pair
-# by less than 2 order + nu + 2 (below 2^13 up to order ~1700), far inside the
-# 2^8384 headroom above the 2^8000 threshold
-_RESCALE_STEPS = 32
+def _laguerre_rows(count, nu, x, start):
+    """Rows n < count of start_i p_n(x_i) / p_0 at the longdouble points x,
+    one row at a time, as longdouble arrays.
 
-
-def _laguerre_pair_scaled(nmax, nu, x):
-    """(L_{nmax-1}, L_nmax, expo) at x, each stored as mantissa * 2**expo.
-
-    Extended-precision upward recurrence with explicit renormalization so
-    that polynomial values of magnitude far beyond the longdouble range
-    stay representable (needed for the far-tail nodes of high orders).
+    off[n+1] p_{n+1} = (2n+nu+1-x) p_n - off[n] p_{n-1}, with
+    off[n] = sqrt(n (n+nu)) the Jacobi off-diagonal.  Scaling start by a
+    power of two scales every row by it and moves no mantissa.
     """
-    x = np.asarray(x, np.longdouble)
-    m0 = np.ones_like(x)
-    expo = np.zeros_like(x)
-    m1 = (1.0 + nu - x).astype(np.longdouble)
-    big = np.longdouble(2.0) ** 8000
-    for k in range(1, nmax):
-        m0, m1 = m1, ((2 * k + nu + 1 - x) * m1 - (k + nu) * m0) / (k + 1)
-        if k % _RESCALE_STEPS == 0:
-            over = np.maximum(np.abs(m0), np.abs(m1)) > big
-            if over.any():
-                scale = np.where(over, 1 / big, np.longdouble(1.0))
-                m0 = m0 * scale
-                m1 = m1 * scale
-                expo = expo + np.where(over, 8000, 0)
-    return m0, m1, expo
+    k = np.arange(count, dtype=np.longdouble)
+    nu = np.longdouble(nu)
+    diag = 2 * k + 1 + nu
+    off = np.sqrt(k * (k + nu))
+    prev, cur = np.zeros_like(x), start
+    yield cur
+    for n in range(count - 1):
+        prev, cur = cur, ((diag[n] - x) * cur - off[n] * prev) / off[n + 1]
+        yield cur

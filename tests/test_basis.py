@@ -11,7 +11,6 @@ class TestBasisSpec:
     def test_derived_quantities(self):
         b = BasisSpec(lam=2.0, ell=3, size=10)
         assert b.nu == 6.0
-        assert b.alpha == 3.5
 
     def test_negative_ell_folded(self):
         assert BasisSpec(1.0, -2, 5).nu == BasisSpec(1.0, 2, 5).nu
@@ -48,7 +47,7 @@ class TestBasisSpec:
 
     def test_given_nu(self):
         b = BasisSpec(lam=1.0, ell=1, size=5, nu=3)
-        assert (b.nu, b.alpha, b.nu_given) == (3.0, 2.0, True)
+        assert (b.nu, b.nu_given) == (3.0, True)
         assert BasisSpec(lam=1.0, ell=1, size=5, nu=2.0).nu_given
         assert not BasisSpec(lam=1.0, ell=1, size=5).nu_given
         assert overlap_matrix(b)[0, 0] == 4.0

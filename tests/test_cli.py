@@ -300,6 +300,32 @@ class TestValidate:
         assert "--limit must be >= 0, got -1" in err
         assert "basis size" not in err
 
+    @pytest.mark.parametrize("args,order,least,at_least", [
+        # a 5-node oracle cannot integrate the default 41 x 41 block: it printed
+        # a deviation of 2.971e+01 and exited as a validation failure; at the
+        # bound the Yukawa integrand is still not polynomial
+        (("yukawa", "--delta", "0.5"), 5, 41, EXIT_VALIDATION),
+        # Kratzer's oracle integrand is polynomial, so its bound is sufficient
+        (("kratzer", "--B", "5", "--ell", "2"), 42, 43, EXIT_OK),
+    ], ids=["yukawa", "kratzer"])
+    def test_order_below_polynomial_bound_is_config_error(self, capsys, args, order, least,
+                                                          at_least):
+        # limit + 1 + ceil(floor(weight_nu) / 2) at --limit 40: weight_nu is 0 for
+        # the Yukawa well and nu - 1 = 3 for Kratzer at ell = 2
+        code, out, err = run(capsys, "validate", "--potential", *args, "--order", str(order))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "--order must be >= %d for --limit 40, got %d" % (least, order) in err
+        code, _, _ = run(capsys, "validate", "--potential", *args, "--order", str(least))
+        assert code == at_least
+
+    def test_kratzer_ell_zero_keeps_its_error(self, capsys):
+        # weight_nu = -1 has no polynomial bound: the assembly's own error stands
+        code, _, err = run(capsys, "validate", "--potential", "kratzer", "--B", "5",
+                           "--ell", "0", "--order", "3")
+        assert code == EXIT_CONFIG
+        assert "diverges at nu = 0" in err
+
     def test_morse_within_tolerance(self, capsys):
         code, _, _ = run(capsys, "validate", "--potential", "morse", "--V0", "-6",
                          "--r0", "4", "--width", "1.5", "--beta", "0.8", "--ell", "1",

@@ -63,12 +63,15 @@ class TestRuleConstruction:
         step = cur * x / (order * cur - (order + nu) * prev)
         assert float(np.max(np.abs(step / x))) <= 1e-14
 
-    @pytest.mark.parametrize("order,nu", [(450, 0.0), (850, 0.0), (300, 4.0)])
+    @pytest.mark.parametrize("order,nu", [(450, 0.0), (850, 0.0), (300, 4.0), (450, 0.449)])
     def test_log_weights_match_mpmath(self, order, nu):
         # w = Gamma(order+nu+1) / (order! x L'(x)^2) at the exact node, found
         # by Newton steps on the 40-digit recurrence from the stored node
         mpmath = pytest.importorskip("mpmath")
         rule = gauss_laguerre_rule(order, nu)
+        # every coefficient in 40 digits: 2k+nu+1 formed in float64 moves a
+        # fractional-nu log-weight by 5e-12 at order 450
+        nu = mpmath.mpf(nu)
 
         def pair(x):
             prev, cur = mpmath.mpf(1), 1 + nu - x
@@ -197,7 +200,7 @@ def oracle_rule(order, weight_nu):
 def longdouble_oracle(v, basis, rule):
     """<phi_n| v |phi_m> as a longdouble product of the Laguerre table on the
     rule's nodes, scaled by the basis norms a_n = sqrt(lam n!/Gamma(n+nu+1)):
-    a_n a_m / lam sum_i w_i x_i^{2 alpha - rule.nu} v(x_i/lam) L_n(x_i) L_m(x_i)."""
+    a_n a_m / lam sum_i w_i x_i^{nu + 1 - rule.nu} v(x_i/lam) L_n(x_i) L_m(x_i)."""
     N, nu = basis.size, basis.nu
     x = rule.nodes
     L = np.empty((N, x.size), np.longdouble)
@@ -209,7 +212,7 @@ def longdouble_oracle(v, basis, rule):
     n = np.arange(N)
     a = np.sqrt(basis.lam * np.exp(np.longdouble(gammaln(n + 1.0) - gammaln(n + nu + 1.0))))
     w = np.exp(rule.log_weights)
-    g = w * x ** (2 * basis.alpha - rule.nu) * v(x / np.longdouble(basis.lam))
+    g = w * x ** (basis.nu + 1 - rule.nu) * v(x / np.longdouble(basis.lam))
     return np.outer(a, a) / basis.lam * ((L * g) @ L.T)
 
 

@@ -5,60 +5,63 @@ import pytest
 
 from trilag.basis import BasisSpec, overlap_matrix
 from trilag.quadrature import _gauss_matrix, gauss_laguerre_rule, quad_potential_matrix
-from trilag.specfun import _laguerre_pair_scaled
+from trilag import quadrature
+from trilag.specfun import _laguerre_rows
 
 
-def pair(nmax, nu, x):
-    """(L_{nmax-1}, L_nmax) at x from the rule's scaled recurrence, as floats."""
-    lprev, lcur, expo = _laguerre_pair_scaled(nmax, nu, x)
-    assert not np.any(expo)
-    return float(lprev), float(lcur)
+def rows(count, nu, x):
+    """p_n(x)/p_0 for n < count from the Gauss layer's recurrence, as floats."""
+    x = np.longdouble(x)
+    return [float(r) for r in _laguerre_rows(count, nu, x, np.ones_like(x))]
+
+
+def scaled(n, nu):
+    """sqrt(n! Gamma(nu+1) / Gamma(n+nu+1)), which takes L_n^nu to p_n/p_0."""
+    return math.exp(0.5 * (math.lgamma(n + 1) + math.lgamma(nu + 1) - math.lgamma(n + nu + 1)))
 
 
 class TestLaguerreSeq:
-    # the recurrence gauss_laguerre_rule evaluates L_order and L_{order+1} with
+    # the recurrence of the orthonormal p_n = sqrt(n!/Gamma(n+nu+1)) L_n^nu that
+    # the rule build and the Laguerre tables run
 
     def test_degree_zero(self):
-        assert pair(1, 3.7, 9.0)[0] == 1.0
+        assert rows(1, 3.7, 9.0) == [1.0]
 
     def test_degree_one(self):
-        np.testing.assert_allclose(pair(1, 2.0, 1.0), [1.0, 2.0])
+        # L_1^2(1) = 2
+        np.testing.assert_allclose(rows(2, 2.0, 1.0), [1.0, 2.0 * scaled(1, 2.0)], rtol=1e-15)
 
     def test_hand_value(self):
         # L_1^0(2) = -1 and L_2^0(x) = 1 - 2x + x^2/2 at x = 2
-        np.testing.assert_allclose(pair(2, 0.0, 2.0), [-1.0, -1.0])
+        np.testing.assert_allclose(rows(3, 0.0, 2.0), [1.0, -1.0, -1.0], rtol=1e-15)
+        # L_1^nu(x) = nu + 1 - x and 2 L_2^nu(x) = (nu+1)(nu+2) - 2(nu+2)x + x^2 at
+        # nu = 0.5, x = 1
+        np.testing.assert_allclose(rows(3, 0.5, 1.0), [1.0, 0.5 * scaled(1, 0.5),
+                                                       -0.125 * scaled(2, 0.5)], rtol=1e-15)
 
-    @pytest.mark.parametrize("nu", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.449, 2.0, 4.0])
     @pytest.mark.parametrize("x", [0.3, 5.0, 47.0])
     def test_recurrence_consistency(self, nu, x):
+        p = rows(31, nu, x)
+        assert rows(12, nu, x) == p[:12]
         for n in range(1, 30):
-            lprev, lcur = pair(n, nu, x)
-            lcur_again, lnext = pair(n + 1, nu, x)
-            assert lcur_again == lcur
-            lhs = (n + 1) * lnext
-            rhs = (2 * n + nu + 1 - x) * lcur - (n + nu) * lprev
-            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+            lhs = math.sqrt((n + 1) * (n + 1 + nu)) * p[n + 1]
+            rhs = (2 * n + nu + 1 - x) * p[n] - math.sqrt(n * (n + nu)) * p[n - 1]
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13 * abs(p[n]))
 
     def test_vectorized_shape(self):
-        x = np.linspace(0.1, 10, 7)
-        out = _laguerre_pair_scaled(5, 1.0, x)
-        assert [(o.shape, o.dtype) for o in out] == [((7,), np.dtype(np.longdouble))] * 3
+        x = np.linspace(0.1, 10, 7, dtype=np.longdouble)
+        out = list(_laguerre_rows(5, 1.0, x, np.ones_like(x)))
+        assert [(o.shape, o.dtype) for o in out] == [((7,), np.dtype(np.longdouble))] * 5
 
-    def test_rescaled_values_beyond_longdouble_threshold(self):
-        # at x = 1e6, n = 1200, |L_n| is about 2^13366, past the 2^8000 rescale
-        # threshold; n! L_n^nu(x) = sum_k binom(n+nu, n-k) (-x)^k n!/k! in exact
-        # integers is the reference, compared by log2 |L| and sign
-        n, nu, x = 1200, 2, 10**6
-        lprev, lcur, expo = _laguerre_pair_scaled(n, float(nu), np.array([float(x)]))
-        assert expo[0] == 8000
-        for m, mantissa in ((n - 1, lprev[0]), (n, lcur[0])):
-            exact = sum(math.comb(m + nu, m - k) * (-x) ** k * math.perm(m, m - k)
-                        for k in range(m + 1))
-            top = exact.bit_length() - 64
-            want = math.log2(abs(exact) >> top) + top - math.lgamma(m + 1) / math.log(2)
-            got = float(np.log2(np.abs(mantissa))) + float(expo[0])
-            assert got == pytest.approx(want, abs=1e-9)
-            assert np.sign(mantissa) == (1 if exact > 0 else -1)
+    def test_power_of_two_start_moves_no_mantissa(self):
+        # the rule build starts at 2^-s: every row is the unscaled one times 2^-s
+        x = np.array([0.3, 40.0, 900.0], np.longdouble)
+        s = np.array([0, 14, 325])
+        one = list(_laguerre_rows(400, 0.449, x, np.ones_like(x)))
+        two = list(_laguerre_rows(400, 0.449, x, np.ldexp(np.ones_like(x), -s)))
+        for a, b in zip(one, two):
+            np.testing.assert_array_equal(np.ldexp(a, -s), b)
 
     def test_orthogonality_under_quadrature(self):
         # the orthonormal Laguerre table on a 25-node rule: sum_i w_i p_n p_m = delta_nm
@@ -67,6 +70,36 @@ class TestLaguerreSeq:
             x = rule.nodes
             G = _gauss_matrix(11, nu, x, rule.log_weights, np.ones(25))
             np.testing.assert_allclose(G, np.eye(11), rtol=0, atol=1e-12)
+
+
+class TestRuleFromRecurrence:
+    # gauss_laguerre_rule keeps the recurrence's last two rows, started at 2^-s
+
+    @pytest.mark.parametrize("order,nu", [(300, 0.3), (450, 0.449), (450, 2 * math.sqrt(1.5))])
+    def test_weight_sum_fractional_nu(self, order, nu):
+        # coefficients formed in float64 put these sums 7.8e-14, 8.6e-14 and 7.8e-15 off
+        rule = gauss_laguerre_rule(order, nu)
+        total = float(np.sum(np.exp(rule.log_weights)))
+        assert abs(total / math.gamma(nu + 1) - 1) <= 1e-15
+
+    def test_order_6000_is_finite(self):
+        # its largest node is about 23900: unscaled rows would reach e^{11950},
+        # past the longdouble range
+        rule = gauss_laguerre_rule(6000, 0.0)
+        assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.log_weights))
+        assert abs(float(np.sum(np.exp(rule.log_weights))) - 1) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rule_raises(self, monkeypatch):
+        def overflowing(count, nu, x, start):
+            for _ in range(count):
+                yield np.full_like(x, np.inf)
+
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "_laguerre_rows", overflowing)
+        with pytest.raises(ValueError, match=r"order 30 at nu = 0\.5 is not finite"):
+            gauss_laguerre_rule(30, 0.5)
+        assert not quadrature._rule_cache
 
 
 def exact_order(n, nu):
