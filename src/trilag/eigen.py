@@ -75,21 +75,23 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import (
-    dgtsv,
-    dormqr,
-    dpbtrf,
-    dpttrf,
-    dstebz,
-    dstemr,
-    dstemr_lwork,
-    dsterf,
-    dsytrd,
-    dsytrd_lwork,
-    dsytrf,
-    dsytrf_lwork,
-    dtbtrs,
-)
+
+from ._lapack import lapack
+
+# the wrappers as module globals, the names tests patch
+dgtsv = lapack.dgtsv
+dormqr = lapack.dormqr
+dpbtrf = lapack.dpbtrf
+dpttrf = lapack.dpttrf
+dstebz = lapack.dstebz
+dstemr = lapack.dstemr
+dstemr_lwork = lapack.dstemr_lwork
+dsterf = lapack.dsterf
+dsytrd = lapack.dsytrd
+dsytrd_lwork = lapack.dsytrd_lwork
+dsytrf = lapack.dsytrf
+dsytrf_lwork = lapack.dsytrf_lwork
+dtbtrs = lapack.dtbtrs
 
 __all__ = ["Pencil", "TridiagonalPencil", "NotPositiveDefiniteError", "count_below",
            "lowest_eigenvalues", "solve_pencil"]

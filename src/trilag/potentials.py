@@ -104,10 +104,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
+from ._lapack import blas
 from .basis import _overlap_factor
 from .quadrature import _FLOOR, _FLOOR_EXP, _gram, _rule_table, _symmetrize, gauss_laguerre_rule
+
+dtrmm = blas.dtrmm
 
 __all__ = [
     "Potential",

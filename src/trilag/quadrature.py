@@ -2,7 +2,9 @@
 
 The rule with weight x^nu e^{-x} starts from the float64 eigenvalues (no
 eigenvectors) of the symmetric Jacobi matrix of the Laguerre recurrence
-(Golub & Welsch, Math. Comp. 23, 1969).  That start is good to ~1e-12
+(Golub & Welsch, Math. Comp. 23, 1969), from LAPACK's dsterf: the bits of
+scipy.linalg.eigh_tridiagonal(..., eigvals_only=True), whose dstevd calls
+dsterf, and order 1's node is nu + 1.  That start is good to ~1e-12
 relative, so one extended-precision Newton step polishes the nodes to the
 ~1e-15 floor at which the recurrence evaluates p_order; a second step only
 adds that noise.  The build keeps the last two rows of the tables'
@@ -58,10 +60,12 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dsyrk
 
+from ._lapack import blas, lapack
 from .specfun import _laguerre_rows
+
+dsterf = lapack.dsterf
+dsyrk = blas.dsyrk
 
 __all__ = ["QuadRule", "gauss_laguerre_rule", "quad_potential_matrix"]
 
@@ -164,10 +168,10 @@ _rule_lock = threading.Lock()
 def gauss_laguerre_rule(order, nu):
     """Gauss rule of the given order for the weight x^nu e^{-x}.
 
-    The float64 eigenvalues of the Jacobi matrix start one extended-precision
-    Newton step on p_order; the weights are evaluated at the polished
-    nodes.  A rule that comes out non-finite (order above about 11000)
-    raises ValueError.  Results are cached per (order, nu) with nu keyed by
+    The float64 eigenvalues of the Jacobi matrix (dsterf) start one
+    extended-precision Newton step on p_order; the weights are evaluated at
+    the polished nodes.  A rule that comes out non-finite (order above
+    about 11000) raises ValueError.  Results are cached per (order, nu) with nu keyed by
     its exact bits; the cache is safe under concurrent lookup.
     """
     if not isinstance(order, numbers.Integral) or order < 1:
@@ -181,20 +185,29 @@ def gauss_laguerre_rule(order, nu):
         return hit
 
     i = np.arange(order)
-    x = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), eigvals_only=True)
+    x = 2 * i + nu + 1.0
+    # order 1's node is its one diagonal entry: the f2py dsterf rejects the
+    # empty off-diagonal
+    if order > 1:
+        x, info = dsterf(x, np.sqrt(i[1:] * (i[1:] + nu)))
+        if info != 0:
+            raise np.linalg.LinAlgError("dsterf failed with info %d" % info)
     x = x.astype(np.longdouble)
-    # rows from 2^-s, and x p' and x p'' as in the module notes
-    s = np.rint(x / (4 * math.log(2))).astype(int)
-    prev, cur = deque(_laguerre_rows(order + 1, nu, x, np.ldexp(np.ones_like(x), -s)), maxlen=2)
-    d1 = (order * cur - np.sqrt(order * (order + np.longdouble(nu))) * prev) / x
-    d2 = ((x - nu - 1) * d1 - order * cur) / x
-    step = cur / d1
-    x = x - step
-    # p' at the polished node, with an error second order in the step
-    # (~1e-24 relative; a p''' term would move no log-weight)
-    deriv = d1 - step * d2
-    # _gauss_matrix and _rule_table subtract the same lgamma(nu+1)
-    log_w = math.lgamma(nu + 1.0) - np.log(x) - 2 * (np.log(np.abs(deriv)) + s * np.log(np.longdouble(2)))
+    # a rule past the longdouble range overflows here: the ValueError below
+    # is its one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rows from 2^-s, and x p' and x p'' as in the module notes
+        s = np.rint(x / (4 * math.log(2))).astype(int)
+        prev, cur = deque(_laguerre_rows(order + 1, nu, x, np.ldexp(np.ones_like(x), -s)), maxlen=2)
+        d1 = (order * cur - np.sqrt(order * (order + np.longdouble(nu))) * prev) / x
+        d2 = ((x - nu - 1) * d1 - order * cur) / x
+        step = cur / d1
+        x = x - step
+        # p' at the polished node, with an error second order in the step
+        # (~1e-24 relative; a p''' term would move no log-weight)
+        deriv = d1 - step * d2
+        # _gauss_matrix and _rule_table subtract the same lgamma(nu+1)
+        log_w = math.lgamma(nu + 1.0) - np.log(x) - 2 * (np.log(np.abs(deriv)) + s * np.log(np.longdouble(2)))
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(log_w))):
         raise ValueError("Gauss-Laguerre rule of order %d at nu = %r is not finite" % (order, nu))
     rule = QuadRule(order=int(order), nu=float(nu), nodes=x, log_weights=log_w)

@@ -21,7 +21,6 @@ and one dsterf.
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -269,6 +268,9 @@ def lambda_scan(potential, basis, grid, k, tol_rel=1e-9, threads=None):
 
     basis = _resolve(potential, basis)
     if threads is not None and threads > 1 and potential.diagonal(basis) is None:
+        # imported here: no CLI command scans on threads
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             traces = np.array(list(pool.map(
                 lambda lam: _lowest(potential, basis.with_lam(lam), k), grid)))

@@ -2,6 +2,9 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -9,6 +12,7 @@ import trilag
 from trilag.basis import BasisSpec
 from trilag.potentials import KratzerParams, MorseParams, YukawaParams
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ["trilag"] + sorted("trilag." + m.name for m in pkgutil.iter_modules(trilag.__path__))
 
 
@@ -71,3 +75,69 @@ def test_only_quadrature_binds_dsyrk():
     # a signed sum of dsyrk products is accumulated and mirrored
     binders = [m for m in MODULES if hasattr(importlib.import_module(m), "dsyrk")]
     assert binders == ["trilag.quadrature"]
+
+
+def _run_fresh(*snippets):
+    """Standard output of the snippets, run in turn in a fresh interpreter on
+    this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = "".join(textwrap.dedent(s) for s in snippets)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_table_runs_without_scipy_linalg():
+    # trilag._lapack loads the wrappers' extension modules from their files;
+    # this test session has imported scipy.linalg, so only a fresh process shows it
+    out = _run_fresh("""
+        import sys
+        import trilag, trilag.cli
+        code = trilag.cli.main(["table", "1"])
+        print(code, [m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules])
+    """)
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_one_wrapper_module_per_process():
+    # a later import of scipy.linalg reuses the extension modules _lapack loaded
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    from trilag import eigen, quadrature
+
+    assert eigen.dsterf is scipy.linalg.lapack.dsterf
+    assert quadrature.dsyrk is scipy.linalg.blas.dsyrk
+
+
+# the 100 energies of one table-1 cell (cosine well, delta = 0.5), in hex
+_CELL_ENERGIES = """
+    from trilag import BasisSpec, YukawaParams, bound_states
+    result = bound_states(YukawaParams(1.0, 0.5, 0.5, "cosine"), BasisSpec(1.0, 0, 100))
+    print(" ".join(float(e).hex() for e in result.energies))
+"""
+
+
+def test_fallback_without_extension_files():
+    # with no extension suffix to try, _lapack finds no file and takes the
+    # wrappers from scipy.linalg.lapack and .blas: the same bits
+    fallback = _run_fresh("""
+        import importlib.machinery
+        import sys
+        importlib.machinery.EXTENSION_SUFFIXES.clear()
+        from trilag import _lapack
+        assert _lapack.lapack is sys.modules["scipy.linalg.lapack"]
+        assert _lapack.blas is sys.modules["scipy.linalg.blas"]
+    """, _CELL_ENERGIES)
+    direct = _run_fresh("""
+        import sys
+        from trilag import _lapack
+        assert _lapack.lapack is sys.modules["scipy.linalg._flapack"]
+        assert _lapack.blas is sys.modules["scipy.linalg._fblas"]
+        assert "scipy.linalg" not in sys.modules
+    """, _CELL_ENERGIES)
+    assert len(direct.split()) == 100
+    assert fallback == direct

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from trilag.basis import BasisSpec
@@ -92,6 +93,38 @@ class TestRuleConstruction:
                 got = mpmath.mpf(float(rule.log_weights[i])) + float(
                     rule.log_weights[i] - np.longdouble(float(rule.log_weights[i])))
                 assert abs(got - ref) <= 1e-14
+
+    @pytest.mark.parametrize("order", [2, 164, 450])
+    @pytest.mark.parametrize("nu", [0.0, 0.449, 2.0])
+    def test_start_is_eigh_tridiagonal(self, monkeypatch, order, nu):
+        # the Newton step starts from dsterf's eigenvalues of the Jacobi matrix,
+        # the bits scipy.linalg.eigh_tridiagonal(..., eigvals_only=True) gives
+        starts = []
+
+        def recording(d, e):
+            w, info = quadrature.lapack.dsterf(d, e)
+            starts.append(w.copy())
+            return w, info
+
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "dsterf", recording)
+        gauss_laguerre_rule(order, nu)
+        i = np.arange(order)
+        ref = eigh_tridiagonal(2 * i + nu + 1.0, np.sqrt(i[1:] * (i[1:] + nu)), eigvals_only=True)
+        assert len(starts) == 1
+        assert starts[0].dtype == np.float64
+        assert np.array_equal(starts[0], ref)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0])
+    def test_order_one_node_is_nu_plus_one(self, monkeypatch, nu):
+        # the one-point Jacobi matrix is its node; dsterf is not called
+        def unused(d, e):
+            raise AssertionError("dsterf was called")
+
+        monkeypatch.setattr(quadrature, "_rule_cache", {})
+        monkeypatch.setattr(quadrature, "dsterf", unused)
+        rule = gauss_laguerre_rule(1, nu)
+        assert rule.nodes.tolist() == [np.longdouble(nu) + 1]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

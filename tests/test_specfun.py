@@ -89,8 +89,9 @@ class TestRuleFromRecurrence:
         assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.log_weights))
         assert abs(float(np.sum(np.exp(rule.log_weights))) - 1) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_rule_raises(self, monkeypatch):
+        # the ValueError is the one report: no numpy overflow or invalid-value warning
         def overflowing(count, nu, x, start):
             for _ in range(count):
                 yield np.full_like(x, np.inf)
